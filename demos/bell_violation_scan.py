@@ -49,7 +49,7 @@ def main() -> None:
     refined = find_max(grid, swept)
     print(f"refined    B = {refined.value:.6f} at "
           f"({refined.x:+.4f}, {refined.y:+.4f}) "
-          f"[{refined.n_evaluations} extra evaluations]")
+          f"[{refined.n_evaluations} more correlator evaluations]")
     print(f"classical bound 2 exceeded by {refined.value - 2.0:+.4f}; "
           f"quantum ceiling 2*sqrt(2) = {2 * math.sqrt(2):.4f}")
 

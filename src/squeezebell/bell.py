@@ -4,11 +4,11 @@
 
     B = E(a, b) + E(a, b') + E(a', b) - E(a', b'),
 
-whose legs share states, so sweeps first collect the unique correlator
-evaluations (a node's four legs reduce to at most four distinct parameter
-keys, and neighbouring nodes share most of them), run those once each,
-then assemble nodes in index order. That makes sweep output deterministic
-and independent of the worker count.
+whose legs share states. Sweeps, refinement, ``bell_operator`` and the CLI
+share one engine: each leg becomes a parity-folded key and a sign, keys a
+memo lacks are evaluated once each (serially or on a process pool), and
+nodes are summed from the memo in index order, so output is deterministic
+and independent of the worker count. Refinement starts from the sweep's memo.
 
 Per-node failures (degenerate kernels under a forced method,
 non-convergent quadratic forms) become NaN entries with a flag string;
@@ -19,15 +19,19 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import oracle
 from .errors import SqueezeBellError
 from .evaluators import (
     CorrelatorResult,
     EvaluationSettings,
+    _parity_fold,
+    _parity_reduce,
     correlator_auto,
     correlator_equal_time,
     correlator_large_ell,
@@ -46,11 +50,24 @@ __all__ = [
     "bell_operator",
     "sweep_map",
     "find_max",
+    "leg_key",
+    "evaluate_keys",
+    "METHODS",
     "AXIS_SELECTORS",
     "CIRELSON_BOUND",
 ]
 
 CIRELSON_BOUND = 2.0 * math.sqrt(2.0)
+
+# A correlator key (r_a, phi_a, r_b, phi_b, dtheta, ell); a memo maps keys to (value, method, flag).
+_Key = tuple[float, float, float, float, float, float]
+_Memo = dict[_Key, tuple[float, str, str]]
+_CHSH_SIGNS = (1.0, 1.0, 1.0, -1.0)
+
+# Refinement stops when both steps have halved below this fraction of
+# their start, or after this many steps.
+_STEP_TOL = 1e-4
+_MAX_ITER = 200
 
 _SIDES = ("a", "a_prime", "b", "b_prime")
 _SIDE_KEYS = {"a": "a", "ap": "a_prime", "b": "b", "bp": "b_prime"}
@@ -139,7 +156,10 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Dense sweep output; failed nodes are NaN with a non-empty flag."""
+    """Dense sweep output; failed nodes are NaN with a non-empty flag.
+
+    ``table`` is the memo of every key the sweep evaluated.
+    """
 
     grid: SweepGrid
     x: np.ndarray
@@ -147,6 +167,7 @@ class SweepResult:
     values: np.ndarray
     methods: np.ndarray
     flags: np.ndarray
+    table: _Memo
 
     def max_node(self) -> tuple[float, int, int]:
         finite = np.where(np.isfinite(self.values), self.values, -np.inf)
@@ -157,7 +178,10 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class MaxResult:
-    """Refined maximum: always >= the best grid node it started from."""
+    """Refined maximum: always >= the best grid node it started from.
+
+    ``n_evaluations`` counts the keys refinement evaluated beyond the sweep's.
+    """
 
     value: float
     x: float
@@ -194,7 +218,7 @@ def _apply_selector(state: dict, selector: str, value: float) -> None:
     state[side] = replace(state[side], **{field: value})
 
 
-def _node_config(grid: SweepGrid, xv: float, yv: float) -> tuple[BellConfig, EvaluationSettings]:
+def _node_config(grid: SweepGrid, xv: float, yv: float) -> BellConfig:
     state = {side: getattr(grid.fixed, side) for side in _SIDES}
     state["ell"] = grid.fixed.settings.ell
     pairs = sorted(
@@ -203,86 +227,81 @@ def _node_config(grid: SweepGrid, xv: float, yv: float) -> tuple[BellConfig, Eva
     )
     for sel, val in pairs:
         _apply_selector(state, sel, val)
-    settings = replace(grid.fixed.settings, ell=state["ell"])
-    cfg = replace(
-        grid.fixed,
-        a=state["a"],
-        a_prime=state["a_prime"],
-        b=state["b"],
-        b_prime=state["b_prime"],
-        settings=settings,
-    )
-    return cfg, settings
+    settings = replace(grid.fixed.settings, ell=state.pop("ell"))
+    return replace(grid.fixed, settings=settings, **state)
 
 
-_Key = tuple[float, float, float, float, float, float]
+def leg_key(pa: SqueezeParams, pb: SqueezeParams, ell: float) -> tuple[_Key, float]:
+    """Key of E(pa, pb) at bin width ell, and the sign with E(pa, pb) = sign * E(key).
+
+    The angle difference is folded onto [-pi/2, pi/2] by the evaluators'
+    own parity fold, so a leg and its half-turn images share one key.
+    """
+    dth, sign = _parity_fold(pa.theta - pb.theta)
+    return (pa.r, pa.varphi, pb.r, pb.varphi, dth, ell), sign
 
 
-def _pair_key(pa: SqueezeParams, pb: SqueezeParams, ell: float) -> _Key:
-    return (pa.r, pa.varphi, pb.r, pb.varphi, pa.theta - pb.theta, ell)
+def _legs(cfg: BellConfig, quantity: str) -> list[tuple[_Key, float]]:
+    """Keys and parity signs of E(a, b), E(a, b'), E(a', b), E(a', b'), or of E(a, b) alone."""
+    pairs = [(cfg.a, cfg.b), (cfg.a, cfg.b_prime), (cfg.a_prime, cfg.b), (cfg.a_prime, cfg.b_prime)]
+    return [leg_key(pa, pb, cfg.settings.ell) for pa, pb in pairs[: 1 if quantity == "correlator" else 4]]
 
 
-def _node_keys(grid: SweepGrid, xv: float, yv: float) -> list[_Key]:
-    cfg, settings = _node_config(grid, xv, yv)
-    if grid.quantity == "correlator":
-        return [_pair_key(cfg.a, cfg.b, settings.ell)]
-    return [
-        _pair_key(cfg.a, cfg.b, settings.ell),
-        _pair_key(cfg.a, cfg.b_prime, settings.ell),
-        _pair_key(cfg.a_prime, cfg.b, settings.ell),
-        _pair_key(cfg.a_prime, cfg.b_prime, settings.ell),
-    ]
+def _node_keys(grid: SweepGrid, xv: float, yv: float) -> list[tuple[_Key, float]]:
+    return _legs(_node_config(grid, xv, yv), grid.quantity)
+
+
+def _equal_time(spec: TransitionSpec, settings: EvaluationSettings) -> CorrelatorResult:
+    if not is_coincident(spec):
+        raise SqueezeBellError("equal-time method requires a coincident transition pair")
+    return correlator_equal_time(spec.a, settings.ell)
+
+
+# The method registry. Adapters look evaluators up by name at call time, so
+# a replaced module attribute (a profiler's wrapper, a test double) runs.
+METHODS: dict[str, Callable[[TransitionSpec, EvaluationSettings], CorrelatorResult]] = {
+    "auto": lambda spec, st: correlator_auto(spec, st),
+    "numeric": lambda spec, st: correlator_numeric(spec, st),
+    "small-ell": lambda spec, st: correlator_small_ell(spec, st.ell),
+    "large-ell": lambda spec, st: correlator_large_ell(spec),
+    "large-squeeze": lambda spec, st: correlator_large_ell_large_squeeze(
+        spec.a.varphi, spec.b.varphi, spec.delta_theta
+    ),
+    "equal-time": _equal_time,
+    "oracle": lambda spec, st: CorrelatorResult(
+        value=oracle.correlator_quadrature(spec, st.ell), method="oracle"
+    ),
+}
 
 
 def _evaluate_pair(
     spec: TransitionSpec, settings: EvaluationSettings, method: str
 ) -> CorrelatorResult:
-    if method == "auto":
-        return correlator_auto(spec, settings)
-    if method == "numeric":
-        return correlator_numeric(spec, settings)
-    if method == "small-ell":
-        return correlator_small_ell(spec, settings.ell)
-    if method == "large-ell":
-        return correlator_large_ell(spec)
-    if method == "large-squeeze":
-        return correlator_large_ell_large_squeeze(
-            spec.a.varphi, spec.b.varphi, spec.delta_theta
-        )
-    if method == "equal-time":
-        if not is_coincident(spec):
-            raise SqueezeBellError(
-                "equal-time method requires a coincident transition pair"
-            )
-        return correlator_equal_time(spec.a, settings.ell)
-    if method == "oracle":
-        from .oracle import correlator_quadrature
-
-        value = correlator_quadrature(spec, settings.ell)
-        return CorrelatorResult(value=value, method="oracle")
-    raise ValueError(f"unknown method {method!r}")
+    try:
+        adapter = METHODS[method]
+    except KeyError:
+        raise ValueError(f"unknown method {method!r}") from None
+    return adapter(spec, settings)
 
 
 def evaluate_key(key: _Key, method: str, settings: EvaluationSettings) -> tuple[float, str, str]:
-    """Evaluate one unique correlator key; errors become (nan, method, flag)."""
+    """Evaluate one correlator key; errors become (nan, method, flag).
+
+    The angle difference is parity-folded first, so every method obeys
+    E(dtheta + pi) = -E(dtheta).
+    """
     ra, pa, rb, pb, dth, ell = key
-    spec = TransitionSpec(
-        a=SqueezeParams(r=ra, varphi=pa, theta=dth),
-        b=SqueezeParams(r=rb, varphi=pb, theta=0.0),
-    )
-    local = replace(settings, ell=ell)
+    spec, sign = _parity_reduce(TransitionSpec(a=SqueezeParams(ra, pa, dth), b=SqueezeParams(rb, pb)))
     try:
-        res = _evaluate_pair(spec, local, method)
+        res = _evaluate_pair(spec, replace(settings, ell=ell), method)
     except SqueezeBellError as exc:
         return math.nan, method, f"{type(exc).__name__}: {exc}"
     flag = "; ".join(res.notes) if res.notes else ("degenerate-path" if res.degenerate_path else "")
-    return res.value, res.method, flag
+    return sign * res.value, res.method, flag
 
 
-def _evaluate_key_task(args: tuple[_Key, str, tuple]) -> tuple[float, str, str]:
-    key, method, st = args
-    settings = EvaluationSettings(ell=st[0], trunc_rel_tol=st[1], quad_rel_tol=st[2], max_bands=st[3])
-    return evaluate_key(key, method, settings)
+def _evaluate_key_task(args: tuple[_Key, str, EvaluationSettings]) -> tuple[float, str, str]:
+    return evaluate_key(*args)
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -299,132 +318,118 @@ def _evaluate_unique(
     method: str,
     settings: EvaluationSettings,
     workers: int | None,
-) -> dict[_Key, tuple[float, str, str]]:
+) -> _Memo:
     n_workers = _resolve_workers(workers)
-    st = (settings.ell, settings.trunc_rel_tol, settings.quad_rel_tol, settings.max_bands)
     if n_workers <= 1 or len(keys) < 8:
         return {k: evaluate_key(k, method, settings) for k in keys}
-    tasks = [(k, method, st) for k in keys]
+    tasks = [(k, method, settings) for k in keys]
     chunk = max(1, len(tasks) // (n_workers * 8))
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         out = list(pool.map(_evaluate_key_task, tasks, chunksize=chunk))
     return dict(zip(keys, out))
 
 
+def evaluate_keys(
+    keys: list[_Key],
+    memo: _Memo,
+    method: str,
+    settings: EvaluationSettings,
+    workers: int | None,
+) -> list[tuple[float, str, str]]:
+    """Evaluate each key ``memo`` lacks once, add it there; returns the keys' entries."""
+    misses = [k for k in dict.fromkeys(keys) if k not in memo]
+    if misses:
+        memo.update(_evaluate_unique(misses, method, settings, workers))
+    return [memo[k] for k in keys]
+
+
+def _gather(nodes: Iterable[list[tuple[_Key, float]]]) -> tuple[list[_Key], np.ndarray, np.ndarray]:
+    """Unique keys in first-seen order, and per node and leg the key's index and sign.
+
+    Each key is kept once and legs refer to it by index, in (node, leg)
+    arrays, which keeps large sweeps small in memory.
+    """
+    index: dict[_Key, int] = {}
+    slots, signs = [], []
+    for legs in nodes:
+        slots.append([index.setdefault(key, len(index)) for key, _ in legs])
+        signs.append([sign for _, sign in legs])
+    return list(index), np.array(slots), np.array(signs)
+
+
+def _node_values(values: list[float], slots: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Node sums of the signed legs, added in leg order; NaN where a leg failed."""
+    legs = signs * np.array(values)[slots]
+    total = np.zeros(len(legs))
+    for chsh, column in zip(_CHSH_SIGNS, legs.T):
+        total += chsh * column
+    total[np.isnan(legs).any(axis=1)] = math.nan
+    return total
+
+
 def bell_operator(config: BellConfig) -> float:
     """CHSH combination B = E(a,b) + E(a,b') + E(a',b) - E(a',b')."""
-    ell = config.settings.ell
-    legs = [
-        _pair_key(config.a, config.b, ell),
-        _pair_key(config.a, config.b_prime, ell),
-        _pair_key(config.a_prime, config.b, ell),
-        _pair_key(config.a_prime, config.b_prime, ell),
-    ]
-    done: dict[_Key, tuple[float, str, str]] = {}
-    for key in legs:
-        if key not in done:
-            value, _, flag = evaluate_key(key, config.method, config.settings)
-            if math.isnan(value):
-                raise SqueezeBellError(f"correlator leg failed: {flag}")
-            done[key] = (value, "", flag)
-    e_ab, e_abp, e_apb, e_apbp = (done[k][0] for k in legs)
-    return e_ab + e_abp + e_apb - e_apbp
+    keys, slots, signs = _gather([_legs(config, "bell")])
+    entries = evaluate_keys(keys, {}, config.method, config.settings, workers=1)
+    for value, _, flag in entries:
+        if math.isnan(value):
+            raise SqueezeBellError(f"correlator leg failed: {flag}")
+    return float(_node_values([e[0] for e in entries], slots, signs)[0])
 
 
 def sweep_map(grid: SweepGrid, workers: int | None = None) -> SweepResult:
     """Evaluate the grid; unique correlators once each, nodes in index order."""
     xs, ys = grid.axis_values()
-    unique: list[_Key] = []
-    seen: set[_Key] = set()
-    node_keys: list[list[_Key]] = []
-    for xv in xs:
-        for yv in ys:
-            keys = _node_keys(grid, float(xv), float(yv))
-            node_keys.append(keys)
-            for k in keys:
-                if k not in seen:
-                    seen.add(k)
-                    unique.append(k)
-    table = _evaluate_unique(unique, grid.fixed.method, grid.fixed.settings, workers)
-
-    n1, n2 = len(xs), len(ys)
-    values = np.full((n1, n2), np.nan)
-    methods = np.full((n1, n2), "", dtype=object)
-    flags = np.full((n1, n2), "", dtype=object)
-    signs = (1.0,) if grid.quantity == "correlator" else (1.0, 1.0, 1.0, -1.0)
-    it = iter(node_keys)
-    for i in range(n1):
-        for j in range(n2):
-            keys = next(it)
-            total = 0.0
-            node_methods: list[str] = []
-            node_flags: list[str] = []
-            ok = True
-            for key, sign in zip(keys, signs):
-                val, meth, flag = table[key]
-                if math.isnan(val):
-                    ok = False
-                if flag:
-                    node_flags.append(flag)
-                node_methods.append(meth)
-                total += sign * (val if math.isfinite(val) else 0.0)
-            values[i, j] = total if ok else math.nan
-            methods[i, j] = node_methods[0] if len(set(node_methods)) == 1 else "|".join(node_methods)
-            flags[i, j] = "; ".join(dict.fromkeys(node_flags))
-    return SweepResult(grid=grid, x=xs, y=ys, values=values, methods=methods, flags=flags)
+    keys, slots, signs = _gather(_node_keys(grid, float(xv), float(yv)) for xv in xs for yv in ys)
+    memo: _Memo = {}
+    values, leg_methods, leg_flags = zip(
+        *evaluate_keys(keys, memo, grid.fixed.method, grid.fixed.settings, workers)
+    )
+    shape = (len(xs), len(ys))
+    methods = np.full(shape, "", dtype=object)
+    flags = np.full(shape, "", dtype=object)
+    for n, row in enumerate(slots.tolist()):
+        node_methods = [leg_methods[u] for u in row]
+        methods.flat[n] = node_methods[0] if len(set(node_methods)) == 1 else "|".join(node_methods)
+        flags.flat[n] = "; ".join(dict.fromkeys(leg_flags[u] for u in row if leg_flags[u]))
+    return SweepResult(
+        grid=grid, x=xs, y=ys, values=_node_values(values, slots, signs).reshape(shape),
+        methods=methods, flags=flags, table=memo,
+    )
 
 
-def find_max(
-    grid: SweepGrid,
-    sweep: SweepResult | None = None,
-    *,
-    workers: int | None = None,
-    step_tol: float = 1e-4,
-    max_iter: int = 200,
-) -> MaxResult:
+def find_max(grid: SweepGrid, sweep: SweepResult | None = None, *, workers: int | None = None) -> MaxResult:
     """Refine the best grid node by coordinate descent with halving steps.
 
     Probes the four axis neighbours of the current point; moves to the best
     improving probe, halving the steps whenever no probe improves. The
     refined value can only beat the grid value since moves must improve.
+    A probe outside the scanned box scores -inf unevaluated. Each step's
+    legs go through the sweep's memo and its worker pool rule.
     """
     if sweep is None:
         sweep = sweep_map(grid, workers=workers)
     grid_value, i0, j0 = sweep.max_node()
     if not math.isfinite(grid_value):
         raise SqueezeBellError("no finite node in sweep; cannot refine a maximum")
-    x0, y0 = float(sweep.x[i0]), float(sweep.y[j0])
-    sx = float(sweep.x[1] - sweep.x[0]) / 2.0
-    sy = float(sweep.y[1] - sweep.y[0]) / 2.0
-    sx0, sy0 = sx, sy
-
-    cache: dict[tuple[float, float], float] = {}
-
-    def value_at(xv: float, yv: float) -> float:
-        pt = (xv, yv)
-        if pt not in cache:
-            keys = _node_keys(grid, xv, yv)
-            total = 0.0
-            signs = (1.0,) if grid.quantity == "correlator" else (1.0, 1.0, 1.0, -1.0)
-            for key, sign in zip(keys, signs):
-                val, _, _ = evaluate_key(key, grid.fixed.method, grid.fixed.settings)
-                if math.isnan(val):
-                    cache[pt] = -math.inf
-                    return -math.inf
-                total += sign * val
-            cache[pt] = total
-        return cache[pt]
-
-    best = grid_value
-    bx, by = x0, y0
-    n_iter = 0
-    while (sx > step_tol * sx0 or sy > step_tol * sy0) and n_iter < max_iter:
-        n_iter += 1
+    memo = dict(sweep.table)
+    (lo1, hi1), (lo2, hi2) = grid.axis1[1:3], grid.axis2[1:3]
+    sx0 = float(sweep.x[1] - sweep.x[0]) / 2.0
+    sy0 = float(sweep.y[1] - sweep.y[0]) / 2.0
+    sx, sy = sx0, sy0
+    best, bx, by = grid_value, float(sweep.x[i0]), float(sweep.y[j0])
+    for _ in range(_MAX_ITER):
+        if sx <= _STEP_TOL * sx0 and sy <= _STEP_TOL * sy0:
+            break
         probes = [(bx + sx, by), (bx - sx, by), (bx, by + sy), (bx, by - sy)]
-        cand = [(value_at(px, py), px, py) for px, py in probes]
-        cand.sort(key=lambda t: t[0], reverse=True)
-        if cand[0][0] > best:
-            best, bx, by = cand[0]
+        inside = [(px, py) for px, py in probes if lo1 <= px <= hi1 and lo2 <= py <= hi2]
+        keys, slots, signs = _gather(_node_keys(grid, px, py) for px, py in inside)
+        entries = evaluate_keys(keys, memo, grid.fixed.method, grid.fixed.settings, workers)
+        values = _node_values([e[0] for e in entries], slots, signs)
+        scores = dict(zip(inside, np.where(np.isnan(values), -math.inf, values).tolist()))
+        top = max(((scores.get(p, -math.inf), *p) for p in probes), key=lambda t: t[0])
+        if top[0] > best:
+            best, bx, by = top
         else:
             sx *= 0.5
             sy *= 0.5
@@ -434,5 +439,5 @@ def find_max(
         y=by,
         grid_value=grid_value,
         grid_index=(i0, j0),
-        n_evaluations=len(cache),
+        n_evaluations=len(memo) - len(sweep.table),
     )

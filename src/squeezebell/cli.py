@@ -23,17 +23,21 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Sequence
 
 from .bell import (
     AXIS_SELECTORS,
+    METHODS,
     BellConfig,
     SweepGrid,
     SweepResult,
     bell_operator,
-    evaluate_key,
+    evaluate_key,  # noqa: F401  (re-exported; perfbench/tracing.py wraps it here)
+    evaluate_keys,
     find_max,
+    leg_key,
     sweep_map,
 )
 from .errors import SqueezeBellError
@@ -41,16 +45,6 @@ from .evaluators import CorrelatorResult, EvaluationSettings
 from .state import SqueezeParams, TransitionSpec
 
 __all__ = ["main", "run"]
-
-METHODS = (
-    "auto",
-    "numeric",
-    "small-ell",
-    "large-ell",
-    "large-squeeze",
-    "equal-time",
-    "oracle",
-)
 
 _SIDES = ("a", "ap", "b", "bp")
 FLOAT_KEYS = frozenset(
@@ -94,6 +88,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # Take "-1.5e-05" after an option as its value, as argparse already
+        # does for "-1.5"; no option of this parser looks like a number.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
 
@@ -116,7 +116,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--dtheta", dest="dtheta", type=float, help="rotation-angle difference theta_a - theta_b (correlator/map)")
     e = common.add_argument_group("evaluation")
     e.add_argument("--ell", dest="ell", type=float, help="sign-bin width (> 0)")
-    e.add_argument("--method", dest="method", choices=METHODS, help="evaluator (default auto)")
+    e.add_argument("--method", dest="method", choices=tuple(METHODS), help="evaluator (default auto)")
     e.add_argument("--trunc-tol", dest="trunc_tol", type=float, help="band-series truncation tolerance")
     e.add_argument("--quad-tol", dest="quad_tol", type=float, help="per-band quadrature tolerance")
     e.add_argument("--max-bands", dest="max_bands", type=int, help="band cap for the numeric series")
@@ -325,8 +325,9 @@ def _scan_payload(sweep: SweepResult, fmt: str) -> str:
 def _run_correlator(table: dict[str, object]) -> None:
     settings = _settings(table)
     spec = _pair_spec(table)
-    key = (spec.a.r, spec.a.varphi, spec.b.r, spec.b.varphi, spec.delta_theta, settings.ell)
-    value, method, flag = evaluate_key(key, str(table["method"]), settings)
+    key, sign = leg_key(spec.a, spec.b, settings.ell)
+    [(value, method, flag)] = evaluate_keys([key], {}, str(table["method"]), settings, workers=1)
+    value *= sign
     if math.isnan(value):
         raise SqueezeBellError(flag or "correlator evaluation failed")
     res = CorrelatorResult(value=value, method=method, notes=(flag,) if flag else ())
@@ -389,7 +390,7 @@ def _run_scan(table: dict[str, object], quantity: str) -> None:
         print(
             f"refined max {label} = {refined.value:.12g} at "
             f"({refined.x:.12g}, {refined.y:.12g}) "
-            f"after {refined.n_evaluations} extra evaluations",
+            f"after {refined.n_evaluations} more correlator evaluations",
             file=sys.stderr,
         )
 

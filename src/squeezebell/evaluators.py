@@ -150,26 +150,30 @@ def is_coincident(spec: TransitionSpec) -> bool:
     return math.remainder(a.varphi - b.varphi, math.pi) == 0.0
 
 
-def _parity_reduce(spec: TransitionSpec) -> tuple[TransitionSpec, float]:
-    """Fold delta_theta = k pi + delta onto delta in [-pi/2, pi/2].
+def _parity_fold(dth: float) -> tuple[float, float]:
+    """Fold dth = k pi + delta onto delta in [-pi/2, pi/2]; returns (delta, (-1)^k).
 
-    Returns the folded spec and the exact sign (-1)^k, using
-    E(dtheta + pi) = -E(dtheta): at the kernel level a pi shift flips the
-    two odd numerators and hence xi12, and the correlator is odd in xi12.
+    The sign is exact by E(dtheta + pi) = -E(dtheta): at the kernel level
+    a pi shift flips the two odd numerators and hence xi12, and the
+    correlator is odd in xi12.
+    """
+    delta = math.remainder(dth, math.pi)
+    if delta == dth:
+        return dth, 1.0
+    k = round((dth - delta) / math.pi)
+    return delta, (-1.0 if k % 2 else 1.0)
+
+
+def _parity_reduce(spec: TransitionSpec) -> tuple[TransitionSpec, float]:
+    """Parity-fold the spec's angle difference; returns the folded spec and its sign.
+
     The folded spec carries theta_a = delta, theta_b = 0 so its angle
     difference is exactly delta.
     """
-    dth = spec.delta_theta
-    delta = math.remainder(dth, math.pi)
-    if delta == dth:
-        return spec, 1.0
-    k = round((dth - delta) / math.pi)
-    sign = -1.0 if k % 2 else 1.0
-    reduced = TransitionSpec(
-        a=replace(spec.a, theta=delta),
-        b=replace(spec.b, theta=0.0),
-    )
-    return reduced, sign
+    delta, sign = _parity_fold(spec.delta_theta)
+    if delta == spec.delta_theta:
+        return spec, sign
+    return TransitionSpec(a=replace(spec.a, theta=delta), b=replace(spec.b, theta=0.0)), sign
 
 
 def _resolve_xi(spec: TransitionSpec) -> tuple[XiMatrix, tuple[str, ...]]:

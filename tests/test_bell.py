@@ -1,10 +1,13 @@
 """CHSH assembly, parameter sweeps, and maximum refinement."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from squeezebell import bell
 from squeezebell.bell import (
     AXIS_SELECTORS,
     CIRELSON_BOUND,
@@ -82,6 +85,18 @@ class TestBellOperator:
         cfg = _theta_config(1.5, *thetas, ell=3.0)
         assert abs(bell_operator(cfg)) <= CIRELSON_BOUND + 1e-9
 
+    def test_equals_sweep_node(self):
+        cfg = _theta_config(1.5, 0.0, 0.8, 0.4, 1.6, ell=3.0)
+        grid = SweepGrid(
+            fixed=cfg,
+            axis1=("dtheta_apb", -2.0, 0.4, 3),
+            axis2=("dtheta_abp", -1.6, 1.0, 3),
+        )
+        sweep = sweep_map(grid, workers=1)
+        # Node (2, 0) sets theta_a' - theta_b = 0.4 and theta_a - theta_b' = -1.6,
+        # which are the config's own settings.
+        assert bell_operator(cfg) == sweep.values[2, 0]
+
     def test_failed_leg_is_reported(self):
         # Coincident (a, b) leg with the forced band-series method cannot
         # be evaluated; the failure must surface, not silently NaN.
@@ -103,6 +118,27 @@ class TestEvaluateKey:
         value, method, flag = evaluate_key(key, "auto", SETTINGS)
         assert math.isfinite(value)
         assert method in ("numeric", "small-ell", "large-ell", "equal-time")
+
+    @pytest.mark.parametrize("method", ["large-squeeze", "oracle"])
+    def test_half_turn_negates_every_method(self, method):
+        # 0.5 + pi folds back to exactly 0.5, so the fold makes the two
+        # evaluations one and the identity hold to the last bit.
+        key = (1.2, 0.1, 0.9, -0.15, 0.5, 2.0)
+        value, _, _ = evaluate_key(key, method, SETTINGS)
+        flipped, _, _ = evaluate_key(key[:4] + (0.5 + math.pi, 2.0), method, SETTINGS)
+        assert math.isfinite(value)
+        assert flipped == -value
+
+
+class TestMethodRegistry:
+    def test_readme_lists_the_registry(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([a-z-]+)` \|", readme, flags=re.MULTILINE)
+        assert rows == list(bell.METHODS)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            evaluate_key((1.0, 0.2, 0.8, -0.1, 0.5, 1.0), "bogus", SETTINGS)
 
 
 class TestSweepGrid:
@@ -222,6 +258,41 @@ class TestFindMax:
         assert res.value >= res.grid_value
         assert res.grid_value == sweep.max_node()[0]
         assert res.n_evaluations > 0
+
+    @staticmethod
+    def _large_ell_grid(axis1):
+        cfg = _theta_config(1.0, 0.0, 0.5, 0.0, -0.5, method="large-ell", ell=1.0)
+        return SweepGrid(fixed=cfg, axis1=axis1, axis2=("dtheta_apb", -1.0, 1.0, 5))
+
+    @pytest.mark.parametrize("axis1", [("r", 0.0, 1.0, 5), ("ell", 0.01, 2.0, 5)])
+    def test_stays_inside_scanned_box(self, axis1):
+        # Unbounded, the first refined to r = 9.16 and the second stepped
+        # to ell < 0 and raised.
+        res = find_max(self._large_ell_grid(axis1), workers=1)
+        assert axis1[1] <= res.x <= axis1[2]
+        assert -1.0 <= res.y <= 1.0
+        assert res.value >= res.grid_value
+
+    def test_evaluates_each_new_key_once(self, monkeypatch):
+        grid = self._large_ell_grid(("r", 0.0, 1.0, 5))
+        sweep = sweep_map(grid, workers=1)
+        seen = []
+        original = bell.evaluate_key
+
+        def recording(key, method, settings):
+            seen.append(key)
+            return original(key, method, settings)
+
+        monkeypatch.setattr(bell, "evaluate_key", recording)
+        res = find_max(grid, sweep, workers=1)
+        assert seen
+        assert not set(seen) & set(sweep.table)
+        assert len(seen) == len(set(seen)) == res.n_evaluations
+
+    def test_independent_of_worker_count(self):
+        grid = self._large_ell_grid(("ell", 0.01, 2.0, 5))
+        sweep = sweep_map(grid, workers=1)
+        assert find_max(grid, sweep, workers=1) == find_max(grid, sweep, workers=2)
 
 
 class TestWorkerResolution:

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from squeezebell.cli import run
+from squeezebell import bell
+from squeezebell.cli import _build_parser, run
 
 REGRESSION_FLAGS = [
     "--ra", "1.2", "--phia", "0.1", "--rb", "0.9", "--phib", "-0.15",
@@ -63,6 +64,12 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_exponent_negative_taken_as_value(self, capsys):
+        assert run(["correlator", "--ra", "1", "--phia=-1.5e-05", "--ell", "2"]) == 0
+        joined = capsys.readouterr().out
+        assert run(["correlator", "--ra", "1", "--phia", "-1.5e-05", "--ell", "2"]) == 0
+        assert capsys.readouterr().out == joined
+
     def test_bell_leg_failure_is_exit_2(self, capsys):
         # Forced band series hits the degenerate coincident E(a, b) leg.
         code = run(
@@ -104,6 +111,18 @@ class TestCorrelatorPayload:
         assert doc["value"] == float(REGRESSION_VALUE)
         assert doc["method"] == "numeric"
         assert doc["degenerate_path"] is False
+
+    def test_forced_equal_time_half_turn_negates(self, capsys):
+        base = ["correlator", "--ra", "1", "--phia", "0.2", "--ell", "1", "--method", "equal-time"]
+        assert run([*base, "--dtheta", "0"]) == 0
+        value = float(capsys.readouterr().out)
+        assert run([*base, "--dtheta", repr(math.pi)]) == 0
+        assert float(capsys.readouterr().out) == -value
+
+    def test_method_choices_are_the_registry(self):
+        sub = _build_parser()._subparsers._group_actions[0].choices["correlator"]
+        action = next(a for a in sub._actions if a.dest == "method")
+        assert list(action.choices) == list(bell.METHODS)
 
     def test_degrees_flag_converts_angles(self, capsys):
         run(["correlator", "--ra", "1", "--rb", "0.8", "--dtheta", "45",
@@ -220,6 +239,16 @@ class TestScans:
         captured = capsys.readouterr()
         assert captured.out.startswith("# axis1,axis2,value,method,flags")
         assert "refined max B" in captured.err
+
+    def test_bell_scan_over_ell_axis(self, capsys):
+        code = run(
+            ["bell-scan", "--ra", "1", "--phia", "0", "--ell", "1", "--workers", "1",
+             "--method", "large-ell",
+             "--thetaa", "0", "--thetaap", "0.5", "--thetab", "0", "--thetabp", "-0.5",
+             "--axis1", "ell:0.01:2:5", "--axis2", "dtheta_apb:-1:1:5"]
+        )
+        assert code == 0
+        assert "refined max B" in capsys.readouterr().err
 
 
 class TestBellCommand:
