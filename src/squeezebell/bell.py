@@ -6,9 +6,15 @@
 
 whose legs share states. Sweeps, refinement, ``bell_operator`` and the CLI
 share one engine: each leg becomes a parity-folded key and a sign, keys a
-memo lacks are evaluated once each (serially or on a process pool), and
-nodes are summed from the memo in index order, so output is deterministic
-and independent of the worker count. Refinement starts from the sweep's memo.
+memo lacks are evaluated once each, and nodes are summed from the memo in
+index order, so output is deterministic and independent of the worker
+count. Refinement starts from the sweep's memo.
+
+Each ``sweep_map`` and each ``find_max`` call owns one ``WorkerPool``. Its
+process pool starts on the first batch of two or more keys and is shut
+down before the call returns; every later batch of the call, each
+refinement step included, reuses it. A batch runs serially when the pool
+has one worker or the batch has fewer than two keys.
 
 Per-node failures (degenerate kernels under a forced method,
 non-convergent quadratic forms) become NaN entries with a flag string;
@@ -52,6 +58,7 @@ __all__ = [
     "find_max",
     "leg_key",
     "evaluate_keys",
+    "WorkerPool",
     "METHODS",
     "AXIS_SELECTORS",
     "CIRELSON_BOUND",
@@ -313,20 +320,45 @@ def _resolve_workers(workers: int | None) -> int:
     return os.cpu_count() or 1
 
 
+class WorkerPool:
+    """The worker pool of one sweep or refinement, used as a context manager.
+
+    The process pool starts on the first batch sent to it and is shut down,
+    its workers joined, when the ``with`` block ends, so no worker outlives
+    the call that owns the pool. A pool of one worker never starts a process.
+    """
+
+    def __init__(self, workers: int | None) -> None:
+        self.workers = _resolve_workers(workers)
+        self._executor: ProcessPoolExecutor | None = None
+
+    def __enter__(self) -> WorkerPool:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
+
+    def map_keys(
+        self, tasks: list[tuple[_Key, str, EvaluationSettings]]
+    ) -> list[tuple[float, str, str]]:
+        """``_evaluate_key_task`` over ``tasks`` on the pool, started here if not yet running."""
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+        chunk = max(1, len(tasks) // (self.workers * 8))
+        return list(self._executor.map(_evaluate_key_task, tasks, chunksize=chunk))
+
+
 def _evaluate_unique(
     keys: list[_Key],
     method: str,
     settings: EvaluationSettings,
-    workers: int | None,
+    pool: WorkerPool,
 ) -> _Memo:
-    n_workers = _resolve_workers(workers)
-    if n_workers <= 1 or len(keys) < 8:
+    if pool.workers <= 1 or len(keys) < 2:
         return {k: evaluate_key(k, method, settings) for k in keys}
-    tasks = [(k, method, settings) for k in keys]
-    chunk = max(1, len(tasks) // (n_workers * 8))
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        out = list(pool.map(_evaluate_key_task, tasks, chunksize=chunk))
-    return dict(zip(keys, out))
+    return dict(zip(keys, pool.map_keys([(k, method, settings) for k in keys])))
 
 
 def evaluate_keys(
@@ -334,12 +366,12 @@ def evaluate_keys(
     memo: _Memo,
     method: str,
     settings: EvaluationSettings,
-    workers: int | None,
+    pool: WorkerPool,
 ) -> list[tuple[float, str, str]]:
     """Evaluate each key ``memo`` lacks once, add it there; returns the keys' entries."""
     misses = [k for k in dict.fromkeys(keys) if k not in memo]
     if misses:
-        memo.update(_evaluate_unique(misses, method, settings, workers))
+        memo.update(_evaluate_unique(misses, method, settings, pool))
     return [memo[k] for k in keys]
 
 
@@ -370,7 +402,7 @@ def _node_values(values: list[float], slots: np.ndarray, signs: np.ndarray) -> n
 def bell_operator(config: BellConfig) -> float:
     """CHSH combination B = E(a,b) + E(a,b') + E(a',b) - E(a',b')."""
     keys, slots, signs = _gather([_legs(config, "bell")])
-    entries = evaluate_keys(keys, {}, config.method, config.settings, workers=1)
+    entries = evaluate_keys(keys, {}, config.method, config.settings, WorkerPool(1))
     for value, _, flag in entries:
         if math.isnan(value):
             raise SqueezeBellError(f"correlator leg failed: {flag}")
@@ -382,9 +414,9 @@ def sweep_map(grid: SweepGrid, workers: int | None = None) -> SweepResult:
     xs, ys = grid.axis_values()
     keys, slots, signs = _gather(_node_keys(grid, float(xv), float(yv)) for xv in xs for yv in ys)
     memo: _Memo = {}
-    values, leg_methods, leg_flags = zip(
-        *evaluate_keys(keys, memo, grid.fixed.method, grid.fixed.settings, workers)
-    )
+    with WorkerPool(workers) as pool:
+        entries = evaluate_keys(keys, memo, grid.fixed.method, grid.fixed.settings, pool)
+    values, leg_methods, leg_flags = zip(*entries)
     shape = (len(xs), len(ys))
     methods = np.full(shape, "", dtype=object)
     flags = np.full(shape, "", dtype=object)
@@ -405,7 +437,7 @@ def find_max(grid: SweepGrid, sweep: SweepResult | None = None, *, workers: int 
     improving probe, halving the steps whenever no probe improves. The
     refined value can only beat the grid value since moves must improve.
     A probe outside the scanned box scores -inf unevaluated. Each step's
-    legs go through the sweep's memo and its worker pool rule.
+    legs go through the sweep's memo and one worker pool shared by all steps.
     """
     if sweep is None:
         sweep = sweep_map(grid, workers=workers)
@@ -418,21 +450,22 @@ def find_max(grid: SweepGrid, sweep: SweepResult | None = None, *, workers: int 
     sy0 = float(sweep.y[1] - sweep.y[0]) / 2.0
     sx, sy = sx0, sy0
     best, bx, by = grid_value, float(sweep.x[i0]), float(sweep.y[j0])
-    for _ in range(_MAX_ITER):
-        if sx <= _STEP_TOL * sx0 and sy <= _STEP_TOL * sy0:
-            break
-        probes = [(bx + sx, by), (bx - sx, by), (bx, by + sy), (bx, by - sy)]
-        inside = [(px, py) for px, py in probes if lo1 <= px <= hi1 and lo2 <= py <= hi2]
-        keys, slots, signs = _gather(_node_keys(grid, px, py) for px, py in inside)
-        entries = evaluate_keys(keys, memo, grid.fixed.method, grid.fixed.settings, workers)
-        values = _node_values([e[0] for e in entries], slots, signs)
-        scores = dict(zip(inside, np.where(np.isnan(values), -math.inf, values).tolist()))
-        top = max(((scores.get(p, -math.inf), *p) for p in probes), key=lambda t: t[0])
-        if top[0] > best:
-            best, bx, by = top
-        else:
-            sx *= 0.5
-            sy *= 0.5
+    with WorkerPool(workers) as pool:
+        for _ in range(_MAX_ITER):
+            if sx <= _STEP_TOL * sx0 and sy <= _STEP_TOL * sy0:
+                break
+            probes = [(bx + sx, by), (bx - sx, by), (bx, by + sy), (bx, by - sy)]
+            inside = [(px, py) for px, py in probes if lo1 <= px <= hi1 and lo2 <= py <= hi2]
+            keys, slots, signs = _gather(_node_keys(grid, px, py) for px, py in inside)
+            entries = evaluate_keys(keys, memo, grid.fixed.method, grid.fixed.settings, pool)
+            values = _node_values([e[0] for e in entries], slots, signs)
+            scores = dict(zip(inside, np.where(np.isnan(values), -math.inf, values).tolist()))
+            top = max(((scores.get(p, -math.inf), *p) for p in probes), key=lambda t: t[0])
+            if top[0] > best:
+                best, bx, by = top
+            else:
+                sx *= 0.5
+                sy *= 0.5
     return MaxResult(
         value=best,
         x=bx,

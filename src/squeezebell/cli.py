@@ -33,6 +33,7 @@ from .bell import (
     BellConfig,
     SweepGrid,
     SweepResult,
+    WorkerPool,
     bell_operator,
     evaluate_key,  # noqa: F401  (re-exported; perfbench/tracing.py wraps it here)
     evaluate_keys,
@@ -326,7 +327,7 @@ def _run_correlator(table: dict[str, object]) -> None:
     settings = _settings(table)
     spec = _pair_spec(table)
     key, sign = leg_key(spec.a, spec.b, settings.ell)
-    [(value, method, flag)] = evaluate_keys([key], {}, str(table["method"]), settings, workers=1)
+    [(value, method, flag)] = evaluate_keys([key], {}, str(table["method"]), settings, WorkerPool(1))
     value *= sign
     if math.isnan(value):
         raise SqueezeBellError(flag or "correlator evaluation failed")

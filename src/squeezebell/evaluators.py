@@ -67,6 +67,7 @@ __all__ = [
     "narrow_bin_value",
     "wide_bin_value",
     "is_coincident",
+    "require_converged",
     "NUDGE",
 ]
 
@@ -124,7 +125,8 @@ class CorrelatorResult:
     notes: tuple[str, ...] = ()
 
 
-def _require_converged(xi: XiMatrix) -> None:
+def require_converged(xi: XiMatrix) -> None:
+    """Raise NonConvergentXiError naming the first violated condition, if any."""
     if xi.converged:
         return
     for name, val in zip(_CONDITION_NAMES, xi.diagnostics):
@@ -216,7 +218,7 @@ def band_series_value(
     band by band with adaptive Gauss-Kronrod panels refined toward the
     origin, where all the integrand structure lives.
     """
-    _require_converged(xi)
+    require_converged(xi)
     ell = settings.ell
     x11, x22, x12 = xi.xi11, xi.xi22, xi.xi12
     s = principal_sqrt(-0.5 * x22)
@@ -227,36 +229,42 @@ def band_series_value(
     max_m_terms = 1_000_000
     terms_used = 0
 
+    block = 16
+    # Alternating signs with weight 1 for m = 0 and 2 for m > 0; every
+    # block starts at an even m.
+    later_weights = np.where(np.arange(block) % 2 == 0, 2.0, -2.0)
+    first_weights = np.where(np.arange(block) == 0, 1.0, later_weights)
+
     def bracket(y: np.ndarray, sign: float) -> np.ndarray:
         # erfc sum against the shared Gaussian envelope, term by term in m,
         # each term assembled as erfcx(z) * exp(combined exponent) so the
-        # e^{z^2} growth of erfc never materializes.
+        # e^{z^2} growth of erfc never materializes. Where Re z < 0 the
+        # term is env2 - erfcx(-z) * exp(exponent), by erfc(z) = 2 - erfc(-z).
         nonlocal terms_used
         Y = sign * y
         out = np.zeros(Y.shape, dtype=complex)
         env2 = 2.0 * np.exp(0.5 * (x11 - x12 * x12 / x22) * Y * Y)
+        ex_y = 0.5 * x11 * (Y * Y)
+        z_y = ratio * Y
         m0 = 0
-        block = 16
         while True:
             ms = np.arange(m0, m0 + block, dtype=float)[:, None] * ell
-            Z = s * (ms + ratio * Y[None, :])
-            EX = 0.5 * x11 * (Y * Y)[None, :] + x12 * ms * Y[None, :] + 0.5 * x22 * ms * ms
+            Z = s * (ms + z_y[None, :])
+            EX = ex_y[None, :] + x12 * ms * Y[None, :] + 0.5 * x22 * ms * ms
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 pos = Z.real >= 0.0
-                term = np.where(
-                    pos,
-                    _sp.erfcx(np.where(pos, Z, 0.0)) * np.exp(EX),
-                    env2 - _sp.erfcx(np.where(pos, 0.0, -Z)) * np.exp(EX),
-                )
-            if not np.all(np.isfinite(term)):
+                scaled = _sp.erfcx(np.where(pos, Z, -Z)) * np.exp(EX)
+                term = np.where(pos, scaled, env2 - scaled)
+                blk_max = float(np.max(np.abs(term)))
+            # A non-finite term makes the block max inf or NaN; the full
+            # check only runs then, since |term| of finite parts can overflow.
+            if not math.isfinite(blk_max) and not np.all(np.isfinite(term)):
                 raise ComplexOverflowError(
                     "scaled erfc series overflows double precision; "
                     "band series not evaluable at these parameters"
                 )
-            signs = np.where((np.arange(m0, m0 + block) % 2) == 0, 1.0, -1.0)
-            weights = np.where(np.arange(m0, m0 + block) == 0, 1.0, 2.0)
-            out += np.sum(term * (signs * weights)[:, None], axis=0)
-            blk_max = float(np.max(np.abs(term)))
+            weights = first_weights if m0 == 0 else later_weights
+            out += np.sum(term * weights[:, None], axis=0)
             terms_used = max(terms_used, m0 + block)
             if blk_max < m_abs_tol:
                 break
@@ -326,7 +334,7 @@ def narrow_bin_value(xi: XiMatrix, ell: float) -> float:
     E = (8/pi^2) Re(e^{p+} - e^{p-}) with
     p+- = pi^2 (xi11 + xi22 +- 2 xi12) / (2 (xi11 xi22 - xi12^2) ell^2).
     """
-    _require_converged(xi)
+    require_converged(xi)
     det = xi_determinant(xi)
     base = math.pi**2 / (2.0 * det * ell * ell)
     p_plus = base * (xi.xi11 + xi.xi22 + 2.0 * xi.xi12)
@@ -344,7 +352,7 @@ def wide_bin_value(xi: XiMatrix) -> float:
     Only the four cells around the origin survive; their quadrant Gaussian
     closed forms combine to E = (2/pi) Re arctan(xi12 / sqrt(det Xi)).
     """
-    _require_converged(xi)
+    require_converged(xi)
     root = principal_sqrt(xi_determinant(xi))
     return (2.0 / math.pi) * principal_arctan(xi.xi12 / root).real
 

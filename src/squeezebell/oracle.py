@@ -19,7 +19,7 @@ import numpy as np
 
 from .complexfn import principal_sqrt
 from .errors import BudgetExceededError, DivergentSeriesError
-from .evaluators import _require_converged
+from .evaluators import require_converged
 from .kernel import xi_determinant, xi_matrix
 from .quadrature import adaptive_cells_2d
 from .state import TransitionSpec
@@ -107,7 +107,7 @@ def correlator_quadrature(
     if not (math.isfinite(ell) and ell > 0):
         raise ValueError(f"ell must be finite and > 0, got {ell!r}")
     xi = xi_matrix(spec)
-    _require_converged(xi)
+    require_converged(xi)
     floor_n = math.ceil(12.0 * max(math.exp(spec.a.r), math.exp(spec.b.r)) / ell)
     if n_max is None:
         n_max = floor_n

@@ -1,7 +1,9 @@
 """CHSH assembly, parameter sweeps, and maximum refinement."""
 
 import math
+import multiprocessing
 import re
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +295,50 @@ class TestFindMax:
         grid = self._large_ell_grid(("ell", 0.01, 2.0, 5))
         sweep = sweep_map(grid, workers=1)
         assert find_max(grid, sweep, workers=1) == find_max(grid, sweep, workers=2)
+
+
+def _failing_task(args):
+    raise RuntimeError("task failed")
+
+
+class TestPoolLifetime:
+    """Each sweep and each refinement starts at most one process pool, and ends it."""
+
+    @pytest.fixture
+    def constructed(self, monkeypatch):
+        starts = []
+
+        class Counting(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bell, "ProcessPoolExecutor", Counting)
+        return starts
+
+    @staticmethod
+    def _grid():
+        return TestFindMax._large_ell_grid(("ell", 0.01, 2.0, 5))
+
+    def test_one_pool_for_all_refinement_steps(self, constructed):
+        grid = self._grid()
+        sweep = sweep_map(grid, workers=2)
+        assert constructed == [2]
+        res = find_max(grid, sweep, workers=2)
+        assert res.n_evaluations >= 2
+        assert constructed == [2, 2]
+        assert multiprocessing.active_children() == []
+
+    def test_serial_run_starts_no_pool(self, constructed):
+        grid = self._grid()
+        find_max(grid, sweep_map(grid, workers=1), workers=1)
+        assert constructed == []
+
+    def test_pool_ends_when_a_batch_fails(self, monkeypatch):
+        monkeypatch.setattr(bell, "_evaluate_key_task", _failing_task)
+        with pytest.raises(RuntimeError, match="task failed"):
+            sweep_map(self._grid(), workers=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestWorkerResolution:

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from squeezebell.errors import (
+    ComplexOverflowError,
     DegenerateKernelError,
     MaxBandsExceededError,
     NonConvergentXiError,
 )
 from squeezebell.evaluators import (
     EvaluationSettings,
+    band_series_value,
     correlator_auto,
     correlator_equal_time,
     correlator_large_ell,
@@ -154,6 +156,31 @@ class TestNumeric:
         spec = _spec(2.0, 0.3, 0.7, 2.0, -0.2)
         with pytest.raises(MaxBandsExceededError):
             correlator_numeric(spec, EvaluationSettings(ell=0.05, max_bands=2))
+
+    # (spec, ell) -> (repr of value, n_bands_used, series_terms_used), recorded
+    # before the erfc bracket was rewritten to one erfcx call per block. The
+    # rewrite applies the same operations to every element, so the values
+    # must match to the bit.
+    PINNED = [
+        ((5.0, 0.0, 0.3, 5.0, 0.0), 100.0, ("-0.025664542870301968", 18, 32)),
+        ((5.0, 0.0, 1.0, 5.0, 0.0), 100.0, ("-0.009217729118904738", 18, 32)),
+        ((5.0, 0.0, -1.2, 5.0, 0.0), 100.0, ("0.0085904355074124", 18, 32)),
+        ((1.2, 0.1, 0.3, 0.9, 0.0), 2.0, ("-0.13534214463364191", 16, 32)),
+        ((1.5, -0.2, 0.5, 1.5, 0.2), 3.2, ("0.6716729685241167", 16, 32)),
+    ]
+
+    @pytest.mark.parametrize("args, ell, pinned", PINNED)
+    def test_band_series_bit_identical(self, args, ell, pinned):
+        res = correlator_numeric(_spec(*args), EvaluationSettings(ell=ell))
+        assert (repr(res.value), res.n_bands_used, res.series_terms_used) == pinned
+
+    def test_overflowing_series_raised(self):
+        # Convergent by all four conditions, but Re(xi12) > 0 makes the
+        # scaled erfc terms' exponent pass 709 within the first band.
+        xi = XiMatrix(xi11=-1.0 + 0j, xi22=-1.0 + 0j, xi12=10.0 + 20.0j,
+                      converged=True, diagnostics=(-1.0, -1.0, -301.0, -301.0))
+        with pytest.raises(ComplexOverflowError, match="overflows double precision"):
+            band_series_value(xi, EvaluationSettings(ell=10.0))
 
     def test_metadata(self):
         res = correlator_numeric(_spec(1.0, 0.3, 0.8, 0.7, -0.2), EvaluationSettings(ell=1.0))
