@@ -47,6 +47,7 @@ from .errors import (
 )
 from .kernel import (
     XiMatrix,
+    large_squeeze_zeta,
     series_prefactor,
     xi_determinant,
     xi_matrix,
@@ -156,8 +157,8 @@ def _parity_fold(dth: float) -> tuple[float, float]:
     """Fold dth = k pi + delta onto delta in [-pi/2, pi/2]; returns (delta, (-1)^k).
 
     The sign is exact by E(dtheta + pi) = -E(dtheta): at the kernel level
-    a pi shift flips the two odd numerators and hence xi12, and the
-    correlator is odd in xi12.
+    a pi shift flips the phase e^{i dtheta} of the coupling and hence xi12,
+    and the correlator is odd in xi12.
     """
     delta = math.remainder(dth, math.pi)
     if delta == dth:
@@ -415,9 +416,7 @@ def correlator_large_ell_large_squeeze(
     value is exactly +1 (zeta = 2) or -1 (zeta = -2); that exact value is
     returned rather than dividing by zero.
     """
-    zeta = complex(
-        np.exp(1j * dtheta) * (np.exp(2j * phi_a) + np.exp(-2j * phi_b))
-    )
+    zeta = large_squeeze_zeta(phi_a, phi_b, dtheta)
     if abs(4.0 - zeta * zeta) < 8e-14:
         value = 1.0 if zeta.real > 0.0 else -1.0
         return CorrelatorResult(

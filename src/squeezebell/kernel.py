@@ -1,17 +1,42 @@
 """Reduced Gaussian kernel of the two-time correlator.
 
-The two-time expectation value reduces to a four-variable Gaussian whose
-quadratic form is assembled from closed-form coefficients of the transition
-pair (determinant ``f_M``, numerators ``d1..d4``). Integrating out the two
-passive variables leaves a 2x2 complex quadratic form Xi over the two
-sign-binned quadratures; every evaluator downstream consumes only Xi and
-its convergence diagnostics.
+The two-time expectation value reduces to a four-variable Gaussian over
+the two sign-binned quadratures and two passive ones. Integrating out the
+passive pair leaves a 2x2 complex quadratic form Xi; every evaluator
+downstream consumes only Xi and its convergence diagnostics.
 
-Degeneracy: ``f_M`` vanishes exactly when the two snapshots coincide (up to
-periodicity) or sit at a parity-degenerate angle difference, where the
-kernel collapses to a delta sheet. That is reported as
-DegenerateKernelError; resolution (equal-time path or angle nudge) is the
-evaluator layer's job, not this module's.
+With P and C the passive and cross 2x2 blocks of the four-variable form,
+Xi = P - C P^-1 C = 2 (S^-1 + M^-1)^-1 for S = P + C and M = P - C. Both
+inverses are elementary. Per side let u = e^r cos(phi) + i e^-r sin(phi),
+v = e^r sin(phi) - i e^-r cos(phi), and let
+eps = e^{i psi} with psi = dtheta + phi_a - phi_b. Then
+
+    S^-1 = -1/2 [[|u_b|^2, eps u_b conj(u_a)], [eps u_b conj(u_a), |u_a|^2]],
+    M^-1 = -1/2 [[|v_b|^2, -eps v_b conj(v_a)], [-eps v_b conj(v_a), |v_a|^2]],
+
+so S^-1 + M^-1 = -[[cosh 2r_b, p], [p, cosh 2r_a]] with
+p = eps (cos(phi_a + phi_b) sinh(r_a + r_b) + i sin(phi_a + phi_b) sinh(r_a - r_b)).
+
+Precision: every factor above is a product of sines, cosines and
+hyperbolic functions, each correct to the last bits. The one sum left is
+the determinant
+
+    det = 1 + (sin(phi_a + phi_b) sinh(r_a + r_b))^2
+            + (cos(phi_a + phi_b) sinh(r_a - r_b))^2 + 2 Im(p)^2
+            - 2i Re(p) Im(p),
+
+whose real part is a sum of nonnegative terms, at least 1. Only p adds
+two terms that can cancel, and that costs accuracy only near the
+r -> infinity singular locus chi = 0 of xi_matrix_large_squeeze, where
+Xi is ill-conditioned in its input angles anyway. So double precision
+holds at every squeezing and there is no extended-precision path.
+
+Degeneracy: the 12x12 system determinant factors as
+f_M = -4 e^{2i dtheta} g_s g_c with two real factors g_s and g_c. It
+vanishes when the two snapshots coincide (up to periodicity) or sit at a
+parity-degenerate angle difference, where the kernel collapses to a delta
+sheet. That is reported as DegenerateKernelError; resolution (equal-time
+path or angle nudge) is the evaluator layer's job, not this module's.
 """
 
 from __future__ import annotations
@@ -21,17 +46,15 @@ import math
 from dataclasses import dataclass
 
 from .complexfn import principal_sqrt
-from .errors import DegenerateKernelError, SingularLocusError
-from .state import SqueezeParams, TransitionSpec, coeff_A, coeff_B
+from .errors import ComplexOverflowError, DegenerateKernelError, SingularLocusError
+from .state import TransitionSpec
 
 __all__ = [
-    "KernelCoefficients",
     "XiMatrix",
     "kernel_determinant",
-    "kernel_numerators",
-    "kernel_coefficients",
     "xi_matrix",
     "xi_matrix_large_squeeze",
+    "large_squeeze_zeta",
     "amplitude_constant",
     "xi_determinant",
     "series_prefactor",
@@ -39,120 +62,6 @@ __all__ = [
 ]
 
 DEGENERACY_THRESHOLD = 1e-12
-
-# Above this elimination-ratio magnitude the double-precision Schur
-# reduction loses too many digits to cancellation and the quadratic form
-# is recomputed in extended precision.
-_EXTENDED_PRECISION_TRIGGER = 1e4
-
-
-def _phase_fn(angle: float) -> complex:
-    # 1 - cos(2x) + 2i sin(2x); obeys f(-x) = conj(f(x)) and f(x +/- pi) = f(x).
-    return 1.0 - math.cos(2.0 * angle) + 2j * math.sin(2.0 * angle)
-
-
-def _det_and_numerators(
-    ra: float, pa: float, rb: float, pb: float, dth: float
-) -> tuple[complex, complex, complex, complex, complex]:
-    """Kernel determinant and the four elimination numerators for (a, b)."""
-    ta = math.tanh(ra)
-    tb = math.tanh(rb)
-    e2 = cmath.exp(2j * dth)
-    cc = math.cosh(ra) * math.cosh(rb)
-
-    f_m = (
-        4.0
-        * e2
-        * (
-            -math.sin(dth) ** 2
-            + math.sin(2.0 * pa + dth) ** 2 * ta * ta
-            + math.sin(2.0 * pb - dth) ** 2 * tb * tb
-            - 2.0 * math.sin(2.0 * pa) * math.sin(2.0 * pb) * ta * tb
-            - math.sin(2.0 * pa - 2.0 * pb + dth) ** 2 * ta * ta * tb * tb
-        )
-    )
-    d1 = e2 * (
-        _phase_fn(2.0 * pa + dth) * ta * ta
-        + _phase_fn(2.0 * pb - dth) * tb * tb
-        - _phase_fn(dth)
-        - 2.0 * (_phase_fn(pa + pb) - _phase_fn(pb - pa)) * ta * tb
-        - _phase_fn(2.0 * pb - 2.0 * pa - dth) * ta * ta * tb * tb
-    )
-    d2 = (
-        4j
-        * e2
-        * (
-            math.sin(2.0 * pa) * ta
-            - math.sin(2.0 * pb - 2.0 * dth) * tb
-            - math.sin(4.0 * pa - 2.0 * pb + 2.0 * dth) * ta * ta * tb
-            + math.sin(2.0 * pa) * ta * tb * tb
-        )
-    )
-    d3 = (
-        -4j
-        * e2
-        * (math.sin(dth) + math.sin(2.0 * pa - 2.0 * pb + dth) * ta * tb)
-        / cc
-    )
-    d4 = (
-        4j
-        * e2
-        * (math.sin(2.0 * pa + dth) * ta - math.sin(2.0 * pb - dth) * tb)
-        / cc
-    )
-    return f_m, d1, d2, d3, d4
-
-
-def kernel_determinant(spec: TransitionSpec) -> complex:
-    """Two-time kernel determinant for a transition pair.
-
-    Zero is a valid return: the determinant vanishes at coincident
-    measurement parameters (the 0/0 locus that kernel_coefficients refuses
-    to divide through).
-    """
-    f_m, _, _, _, _ = _det_and_numerators(
-        spec.a.r, spec.a.varphi, spec.b.r, spec.b.varphi, spec.delta_theta
-    )
-    return f_m
-
-
-def kernel_numerators(spec: TransitionSpec) -> tuple[complex, complex, complex, complex]:
-    """The four elimination numerators (d1, d2, d3, d4), undivided.
-
-    These vanish together with the determinant at coincident parameters,
-    so unlike kernel_coefficients this accessor never raises.
-    """
-    _, d1, d2, d3, d4 = _det_and_numerators(
-        spec.a.r, spec.a.varphi, spec.b.r, spec.b.varphi, spec.delta_theta
-    )
-    return d1, d2, d3, d4
-
-
-@dataclass(frozen=True)
-class KernelCoefficients:
-    """Closed-form coefficients of the reduced two-time Gaussian.
-
-    ``f_M`` is the 12x12 linear-system determinant; ``d1..d4`` its
-    elimination numerators; ``D1..D4`` and the barred pair their ratios to
-    ``f_M``; ``scr*`` the wavefunction-shifted quadratic-form entries that
-    enter the final 4x4 reduction.
-    """
-
-    f_M: complex
-    d1: complex
-    d2: complex
-    d3: complex
-    d4: complex
-    D1: complex
-    D2: complex
-    D3: complex
-    D4: complex
-    Dbar1: complex
-    Dbar2: complex
-    scrD1: complex
-    scrD2: complex
-    scrDbar1: complex
-    scrDbar2: complex
 
 
 @dataclass(frozen=True)
@@ -181,88 +90,147 @@ class XiMatrix:
         )
 
 
-def kernel_coefficients(spec: TransitionSpec) -> KernelCoefficients:
-    """Assemble all closed-form kernel coefficients for a transition pair.
+def _determinant_factors(
+    spec: TransitionSpec,
+) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """Weights and angle coefficients of the two real factors of f_M.
 
-    Raises DegenerateKernelError when |f_M| falls below
-    DEGENERACY_THRESHOLD relative to the numerator scale, i.e. when the
-    two-time Gaussian degenerates to a delta sheet.
+    g_s = sum_k w_k s_k and g_c = sum_k w_k c_k, where the weights
+    (4, 2 sigma_a, 2 sigma_b, sigma_a sigma_b) carry the squeezing through
+    sigma = 1 - tanh r, and the coefficients, each at most 1 in size, carry
+    the angles. Each term is a product correct to rounding, so the only
+    error that can grow is cancellation between the terms of a sum.
     """
     ra, pa = spec.a.r, spec.a.varphi
     rb, pb = spec.b.r, spec.b.varphi
-    dth = spec.delta_theta
-
-    f_m, d1, d2, d3, d4 = _det_and_numerators(ra, pa, rb, pb, dth)
-    # Swapped-role numerators feed the barred ratios.
-    _, d1s, d2s, _, _ = _det_and_numerators(rb, pb, ra, pa, -dth)
-
-    scale = max(abs(d1), abs(d2), abs(d3), abs(d4))
-    if scale == 0.0 or abs(f_m) < DEGENERACY_THRESHOLD * scale:
-        raise DegenerateKernelError(
-            "two-time kernel determinant vanishes "
-            f"(|f_M| = {abs(f_m):.3e}, numerator scale = {scale:.3e}); "
-            "coincident or parity-degenerate transition",
-            det_magnitude=abs(f_m),
-        )
-
-    D1 = d1 / f_m
-    D2 = d2 / f_m
-    D3 = d3 / f_m
-    D4 = d4 / f_m
-    Dbar1 = d1s.conjugate() / f_m
-    Dbar2 = d2s.conjugate() / f_m
-
-    scrD1 = 0.5 + coeff_A(rb, pb) - D1
-    scrDbar1 = 0.5 + coeff_A(ra, pa).conjugate() - Dbar1
-    scrD2 = coeff_B(rb, pb) - D2
-    scrDbar2 = coeff_B(ra, pa).conjugate() - Dbar2
-
-    return KernelCoefficients(
-        f_M=f_m,
-        d1=d1,
-        d2=d2,
-        d3=d3,
-        d4=d4,
-        D1=D1,
-        D2=D2,
-        D3=D3,
-        D4=D4,
-        Dbar1=Dbar1,
-        Dbar2=Dbar2,
-        scrD1=scrD1,
-        scrD2=scrD2,
-        scrDbar1=scrDbar1,
-        scrDbar2=scrDbar2,
+    psi = spec.delta_theta + pa - pb
+    qa, qb = math.exp(-2.0 * ra), math.exp(-2.0 * rb)
+    sig_a, sig_b = 2.0 * qa / (1.0 + qa), 2.0 * qb / (1.0 + qb)
+    weights = (4.0, 2.0 * sig_a, 2.0 * sig_b, sig_a * sig_b)
+    sin_pa, cos_pa, sin_pb, cos_pb = math.sin(pa), math.cos(pa), math.sin(pb), math.cos(pb)
+    sin_psi = math.sin(psi)
+    # The sigma_a sigma_b coefficient is the same in both factors.
+    shared = math.sin(psi + pa - pb)
+    s = (
+        sin_pa * sin_pb * sin_psi,
+        sin_pb * math.cos(psi + pa),
+        -sin_pa * math.cos(psi - pb),
+        shared,
     )
+    c = (
+        cos_pa * cos_pb * sin_psi,
+        -cos_pb * math.sin(psi + pa),
+        -cos_pa * math.sin(psi - pb),
+        shared,
+    )
+    return weights, s, c
+
+
+def kernel_determinant(spec: TransitionSpec) -> complex:
+    """Two-time kernel determinant f_M = -4 e^{2i dtheta} g_s g_c.
+
+    Zero is a valid return: the determinant vanishes at coincident
+    measurement parameters, the locus that xi_matrix refuses.
+    """
+    weights, s, c = _determinant_factors(spec)
+    g_s = sum(w * t for w, t in zip(weights, s))
+    g_c = sum(w * t for w, t in zip(weights, c))
+    return -4.0 * cmath.exp(2j * spec.delta_theta) * g_s * g_c
+
+
+def _require_nondegenerate(spec: TransitionSpec) -> None:
+    """Raise DegenerateKernelError when a factor of f_M vanishes.
+
+    A factor vanishes when its terms cancel to DEGENERACY_THRESHOLD of
+    their summed size (as at a coincident pair), or when all four of its angle
+    coefficients lie within DEGENERACY_THRESHOLD of zero, so that f_M
+    vanishes at these angles for every squeezing (a parity-degenerate
+    pair). A factor that is small only through its weights, as g_s is at
+    phi = 0 and deep squeezing, is not degenerate.
+    """
+    weights, s, c = _determinant_factors(spec)
+    for coefficients in (s, c):
+        terms = [w * t for w, t in zip(weights, coefficients)]
+        cancels = abs(sum(terms)) <= DEGENERACY_THRESHOLD * sum(map(abs, terms))
+        if cancels or max(map(abs, coefficients)) <= DEGENERACY_THRESHOLD:
+            f_m = abs(kernel_determinant(spec))
+            raise DegenerateKernelError(
+                f"two-time kernel determinant vanishes (|f_M| = {f_m:.3e}); "
+                "coincident or parity-degenerate transition",
+                det_magnitude=f_m,
+            )
 
 
 def _safe_real(z: complex) -> float:
     return z.real if math.isfinite(z.real) else math.inf
 
 
+def _form(xi11: complex, xi22: complex, xi12: complex) -> XiMatrix:
+    diag = (
+        _safe_real(xi11),
+        _safe_real(xi22),
+        _safe_real(xi11 - xi12 * xi12 / xi22) if xi22 != 0.0 else math.inf,
+        _safe_real(xi22 - xi12 * xi12 / xi11) if xi11 != 0.0 else math.inf,
+    )
+    converged = all(v < 0.0 for v in diag)
+    return XiMatrix(xi11=xi11, xi22=xi22, xi12=xi12, converged=converged, diagnostics=diag)
+
+
+def xi_matrix(spec: TransitionSpec) -> XiMatrix:
+    """Reduce the 4x4 two-time quadratic form to the observable 2x2 block.
+
+    Xi = 2 (S^-1 + M^-1)^-1 in the closed form of the module docstring;
+    xi11 belongs to the later-argument (b) side and xi22 to the earlier (a)
+    side. The ``converged`` flag summarizes the four band-series
+    convergence conditions, stored verbatim in ``diagnostics``.
+    """
+    _require_nondegenerate(spec)
+    ra, pa = spec.a.r, spec.a.varphi
+    rb, pb = spec.b.r, spec.b.varphi
+    c, s = math.cos(pa + pb), math.sin(pa + pb)
+    try:
+        sh_sum, sh_diff = math.sinh(ra + rb), math.sinh(ra - rb)
+        ch_a, ch_b = math.cosh(2.0 * ra), math.cosh(2.0 * rb)
+        p = cmath.exp(1j * (spec.delta_theta + pa - pb)) * complex(c * sh_sum, s * sh_diff)
+        det = complex(
+            1.0 + (s * sh_sum) ** 2 + (c * sh_diff) ** 2 + 2.0 * p.imag**2,
+            -2.0 * p.real * p.imag,
+        )
+    except OverflowError:
+        det = complex(math.inf)
+    if not (math.isfinite(det.real) and math.isfinite(det.imag)):
+        raise ComplexOverflowError(
+            f"reduced quadratic form leaves double precision at r_a + r_b = {ra + rb:g}"
+        )
+    f = 2.0 / det
+    return _form(-f * ch_a, -f * ch_b, f * p)
+
+
 def _xi_extended(
     ra: float, pa: float, rb: float, pb: float, dth: float
 ) -> tuple[complex, complex, complex]:
-    """Schur reduction in 40-digit arithmetic for near-degenerate kernels.
+    """Reference Xi: the original elimination chain in extended precision.
 
-    Close to a kernel degeneracy the elimination ratios grow like
-    1/|f_M| while the reduced entries stay moderate, so the double
-    precision chain cancels catastrophically. This mirror of the float
-    chain exists purely to recover those digits; a unit test pins both
-    implementations together at generic parameters.
+    Assembles the kernel determinant f_M and its four elimination
+    numerators, divides through, and Schur-reduces the 4x4 form, as the
+    derivation does. The chain cancels like e^{4r} at phi = 0, so it works
+    at 40 + 2 max(r_a, r_b) digits, with every input converted to mpf
+    before any angle sum is formed. No runtime path calls it; tests
+    compare xi_matrix against it.
     """
     import mpmath as mp
 
-    with mp.workdps(40):
+    ra, pa, rb, pb, dth = (mp.mpf(x) for x in (ra, pa, rb, pb, dth))
+    with mp.workdps(int(40 + 2 * max(ra, rb))):
         ta, tb = mp.tanh(ra), mp.tanh(rb)
-        ca, cb = mp.cosh(ra), mp.cosh(rb)
+        cc = mp.cosh(ra) * mp.cosh(rb)
+        s = mp.sin
 
         def f(x):
             return 1 - mp.cos(2 * x) + 2j * mp.sin(2 * x)
 
-        def numerators(pa_, ta_, pb_, tb_, dth_, cc_):
-            e2 = mp.exp(2j * mp.mpf(dth_))
-            s = mp.sin
+        def numerators(pa_, ta_, pb_, tb_, dth_):
+            e2 = mp.exp(2j * dth_)
             fm = 4 * e2 * (
                 -s(dth_) ** 2
                 + s(2 * pa_ + dth_) ** 2 * ta_**2
@@ -283,23 +251,22 @@ def _xi_extended(
                 - s(4 * pa_ - 2 * pb_ + 2 * dth_) * ta_**2 * tb_
                 + s(2 * pa_) * ta_ * tb_**2
             )
-            d3 = -4j * e2 * (s(dth_) + s(2 * pa_ - 2 * pb_ + dth_) * ta_ * tb_) / cc_
-            d4 = 4j * e2 * (s(2 * pa_ + dth_) * ta_ - s(2 * pb_ - dth_) * tb_) / cc_
+            d3 = -4j * e2 * (s(dth_) + s(2 * pa_ - 2 * pb_ + dth_) * ta_ * tb_) / cc
+            d4 = 4j * e2 * (s(2 * pa_ + dth_) * ta_ - s(2 * pb_ - dth_) * tb_) / cc
             return fm, d1, d2, d3, d4
 
-        cc = ca * cb
-        fm, d1, d2, d3, d4 = numerators(pa, ta, pb, tb, dth, cc)
-        _, d1s, d2s, _, _ = numerators(pb, tb, pa, ta, -dth, cc)
+        fm, d1, d2, d3, d4 = numerators(pa, ta, pb, tb, dth)
+        _, d1s, d2s, _, _ = numerators(pb, tb, pa, ta, -dth)
         D1, D2, D3, D4 = d1 / fm, d2 / fm, d3 / fm, d4 / fm
         Db1, Db2 = mp.conj(d1s) / fm, mp.conj(d2s) / fm
 
         def wf_a(r_, p_):
-            w = mp.exp(-4j * mp.mpf(p_)) * mp.tanh(r_) ** 2
+            w = mp.exp(-4j * p_) * mp.tanh(r_) ** 2
             return -(1 + w) / (1 - w)
 
         def wf_b(r_, p_):
-            w = mp.exp(-4j * mp.mpf(p_)) * mp.tanh(r_) ** 2
-            return 2 * mp.exp(-2j * mp.mpf(p_)) * mp.tanh(r_) / (1 - w)
+            w = mp.exp(-4j * p_) * mp.tanh(r_) ** 2
+            return 2 * mp.exp(-2j * p_) * mp.tanh(r_) / (1 - w)
 
         sD1 = mp.mpf(1) / 2 + wf_a(rb, pb) - D1
         sDb1 = mp.mpf(1) / 2 + mp.conj(wf_a(ra, pa)) - Db1
@@ -312,86 +279,34 @@ def _xi_extended(
         return complex(x11), complex(x22), complex(x12)
 
 
-def xi_matrix(spec: TransitionSpec) -> XiMatrix:
-    """Reduce the 4x4 two-time quadratic form to the observable 2x2 block.
+def large_squeeze_zeta(phi_a: float, phi_b: float, dtheta: float) -> complex:
+    """zeta = e^{i dtheta} (e^{2i phi_a} + e^{-2i phi_b}), |zeta| <= 2.
 
-    Eliminates the two passive quadratures by a Schur complement; xi11
-    belongs to the later-argument (b) side and xi22 to the earlier (a)
-    side. The ``converged`` flag summarizes the four band-series
-    convergence conditions, stored verbatim in ``diagnostics``.
+    The one angle combination that survives infinite squeezing.
     """
-    kc = kernel_coefficients(spec)
-    ratio_scale = max(
-        abs(kc.D1), abs(kc.D2), abs(kc.D3), abs(kc.D4), abs(kc.Dbar1), abs(kc.Dbar2)
-    )
-    if ratio_scale > _EXTENDED_PRECISION_TRIGGER:
-        xi11, xi22, xi12 = _xi_extended(
-            spec.a.r, spec.a.varphi, spec.b.r, spec.b.varphi, spec.delta_theta
-        )
-    else:
-        den = kc.scrD1 * kc.scrDbar1 - kc.D4 * kc.D4
-        if den == 0.0:
-            raise DegenerateKernelError(
-                "passive-block determinant of the reduced quadratic form vanishes",
-                det_magnitude=0.0,
-            )
-        xi11 = kc.scrD1 - (
-            kc.scrDbar1 * kc.scrD2**2 + kc.scrD1 * kc.D3**2 - 2.0 * kc.scrD2 * kc.D3 * kc.D4
-        ) / den
-        xi22 = kc.scrDbar1 - (
-            kc.scrD1 * kc.scrDbar2**2 + kc.scrDbar1 * kc.D3**2 - 2.0 * kc.scrDbar2 * kc.D3 * kc.D4
-        ) / den
-        xi12 = kc.D4 - (
-            kc.scrDbar1 * kc.scrD2 * kc.D3
-            + kc.scrD1 * kc.scrDbar2 * kc.D3
-            - kc.scrD2 * kc.scrDbar2 * kc.D4
-            - kc.D3**2 * kc.D4
-        ) / den
-
-    diag = (
-        _safe_real(xi11),
-        _safe_real(xi22),
-        _safe_real(xi11 - xi12 * xi12 / xi22) if xi22 != 0.0 else math.inf,
-        _safe_real(xi22 - xi12 * xi12 / xi11) if xi11 != 0.0 else math.inf,
-    )
-    converged = all(v < 0.0 for v in diag)
-    return XiMatrix(xi11=xi11, xi22=xi22, xi12=xi12, converged=converged, diagnostics=diag)
+    return cmath.exp(1j * dtheta) * (cmath.exp(2j * phi_a) + cmath.exp(-2j * phi_b))
 
 
 def xi_matrix_large_squeeze(spec: TransitionSpec) -> XiMatrix:
     """Leading large-squeezing asymptote of the reduced quadratic form.
 
-    With u = e^{-r} per side and
-    chi = [4 - e^{2i dtheta} (e^{2i phi_a} + e^{-2i phi_b})^2] / 8:
+    With u = e^{-r} per side and chi = (4 - zeta^2) / 8:
 
         xi11 ~ -2 u_b^2 / chi,   xi22 ~ -2 u_a^2 / chi,
-        xi12 ~ e^{i dtheta} (e^{2i phi_a} + e^{-2i phi_b}) u_a u_b / chi.
+        xi12 ~ zeta u_a u_b / chi.
 
     Re(chi) >= 0 always; the form degenerates on the locus chi = 0.
     """
     ua = math.exp(-spec.a.r)
     ub = math.exp(-spec.b.r)
-    dth = spec.delta_theta
-    zeta = cmath.exp(1j * dth) * (
-        cmath.exp(2j * spec.a.varphi) + cmath.exp(-2j * spec.b.varphi)
-    )
+    zeta = large_squeeze_zeta(spec.a.varphi, spec.b.varphi, spec.delta_theta)
     chi = (4.0 - zeta * zeta) / 8.0
     if abs(chi) < 1e-14:
         raise SingularLocusError(
             "large-squeezing quadratic form singular: |4 - zeta^2| < 8e-14 "
             "(maximal-correlation locus)"
         )
-    xi11 = -2.0 * ub * ub / chi
-    xi22 = -2.0 * ua * ua / chi
-    xi12 = zeta * ua * ub / chi
-    diag = (
-        _safe_real(xi11),
-        _safe_real(xi22),
-        _safe_real(xi11 - xi12 * xi12 / xi22),
-        _safe_real(xi22 - xi12 * xi12 / xi11),
-    )
-    converged = all(v < 0.0 for v in diag)
-    return XiMatrix(xi11=xi11, xi22=xi22, xi12=xi12, converged=converged, diagnostics=diag)
+    return _form(-2.0 * ub * ub / chi, -2.0 * ua * ua / chi, zeta * ua * ub / chi)
 
 
 def amplitude_constant(xi: XiMatrix) -> complex:

@@ -274,3 +274,27 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout == REGRESSION_VALUE + "\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--ra", "5", "--phia", "0", "--dtheta", "1", "--ell", "100"],
+            ["--ra", "20", "--phia", "0", "--dtheta", "0.5", "--ell", "1e20"],
+        ],
+        ids=["r5-phi0", "r20"],
+    )
+    def test_deep_squeezing_without_mpmath(self, flags):
+        # mpmath is a test dependency only: with its import blocked, deep
+        # squeezing still evaluates.
+        code = (
+            "import sys; sys.modules['mpmath'] = None; "
+            "from squeezebell.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "correlator", *flags],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert abs(float(proc.stdout)) <= 1.0

@@ -1,30 +1,30 @@
-"""Closed-form kernel determinant, numerators, and the reduced quadratic form."""
+"""Closed-form kernel determinant and the reduced quadratic form."""
 
 import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from squeezebell.errors import DegenerateKernelError, SingularLocusError
+from kernel_blocks import passive_block_determinant
+from squeezebell.errors import ComplexOverflowError, DegenerateKernelError, SingularLocusError
+from squeezebell.evaluators import correlator_large_ell, correlator_large_ell_large_squeeze
 from squeezebell.kernel import (
     DEGENERACY_THRESHOLD,
     XiMatrix,
-    _phase_fn,
     _xi_extended,
     amplitude_constant,
-    kernel_coefficients,
     kernel_determinant,
-    kernel_numerators,
     series_prefactor,
     xi_determinant,
     xi_matrix,
     xi_matrix_large_squeeze,
 )
 from squeezebell.oracle import build_M
-from squeezebell.state import SqueezeParams, TransitionSpec, coeff_A
+from squeezebell.state import SqueezeParams, TransitionSpec
 
 r_draw = st.floats(min_value=0.0, max_value=8.0)
 angle_draw = st.floats(min_value=-math.pi, max_value=math.pi)
@@ -38,16 +38,6 @@ GENERIC_POINTS = [
 
 def _spec(ra, pa, tha, rb, pb, thb):
     return TransitionSpec(a=SqueezeParams(ra, pa, tha), b=SqueezeParams(rb, pb, thb))
-
-
-class TestPhaseFunction:
-    @given(angle_draw)
-    def test_conjugation_and_period(self, x):
-        assert _phase_fn(-x) == _phase_fn(x).conjugate()
-        assert abs(_phase_fn(x + math.pi) - _phase_fn(x)) < 1e-14
-
-    def test_zero(self):
-        assert _phase_fn(0.0) == 0.0
 
 
 class TestDeterminant:
@@ -86,8 +76,8 @@ class TestDeterminant:
         assert abs(det_big - f_m) <= 1e-13 * abs(f_m)
 
     def test_extended_precision_recomputation(self):
-        # The closed form loses digits at high squeezing; pin the float
-        # evaluation against the same expression in 40-digit arithmetic.
+        # The expanded determinant of the derivation cancels at high
+        # squeezing; in 40-digit arithmetic it pins the factored form.
         ra, pa, rb, pb, dth = 5.0, -0.2, 0.2, 0.5, 0.9
         f_m = kernel_determinant(_spec(ra, pa, dth, rb, pb, 0.0))
         with mp.workdps(40):
@@ -102,26 +92,6 @@ class TestDeterminant:
             )
             ref = complex(ref)
         assert abs(f_m - ref) <= 1e-12 * abs(ref)
-
-
-class TestNumerators:
-    def test_vacuum_values(self):
-        dth = 0.6
-        spec = _spec(0.0, 0.0, dth, 0.0, 0.0, 0.0)
-        d1, d2, d3, d4 = kernel_numerators(spec)
-        e2 = cmath.exp(2j * dth)
-        assert d1 == pytest.approx(-e2 * _phase_fn(dth), abs=1e-15)
-        assert d2 == 0.0
-        assert d3 == pytest.approx(-4j * e2 * math.sin(dth), abs=1e-15)
-        assert d4 == 0.0
-
-    def test_coincident_all_vanish(self):
-        spec = _spec(0.9, 0.0, 0.0, 0.9, 0.0, 0.0)
-        assert all(abs(d) < 1e-15 for d in kernel_numerators(spec))
-        # The accessor keeps working where the ratio assembly must refuse.
-        with pytest.raises(DegenerateKernelError) as exc_info:
-            kernel_coefficients(spec)
-        assert exc_info.value.det_magnitude < DEGENERACY_THRESHOLD
 
 
 class TestReducedForm:
@@ -146,6 +116,25 @@ class TestReducedForm:
         assert xi.converged
         assert all(math.isfinite(abs(v)) for v in (xi.xi11, xi.xi22, xi.xi12))
 
+    @pytest.mark.parametrize("dth", [0.3, 1.1, -2.0])
+    def test_vacuum_values(self, dth):
+        # In vacuum the two times decouple: Xi = -2 I at every angle difference.
+        xi = xi_matrix(_spec(0.0, 0.0, dth, 0.0, 0.0, 0.0))
+        assert (xi.xi11, xi.xi22, xi.xi12) == (-2.0, -2.0, 0.0)
+        ref = _xi_extended(0.0, 0.0, 0.0, 0.0, dth)
+        assert all(abs(u - v) <= 1e-15 for u, v in zip(ref, (-2.0, -2.0, 0.0)))
+
+    @given(r_draw, angle_draw, r_draw, angle_draw, angle_draw)
+    def test_angle_negation_conjugates(self, ra, pa, rb, pb, dth):
+        try:
+            xi = xi_matrix(_spec(ra, pa, dth, rb, pb, 0.0))
+        except DegenerateKernelError:
+            assume(False)
+        neg = xi_matrix(_spec(ra, -pa, -dth, rb, -pb, 0.0))
+        assert neg.xi11 == xi.xi11.conjugate()
+        assert neg.xi22 == xi.xi22.conjugate()
+        assert neg.xi12 == xi.xi12.conjugate()
+
     def test_angle_difference_periodicity(self):
         base = _spec(1.2, 0.3, 0.8, 0.7, -0.2, 0.0)
         shifted = _spec(1.2, 0.3, 0.8 + 2.0 * math.pi, 0.7, -0.2, 0.0)
@@ -169,6 +158,19 @@ class TestReducedForm:
         assert abs(xi.xi22 - e22) <= 1e-12 * abs(e22)
         assert abs(xi.xi12 - e12) <= 1e-12 * abs(e12)
 
+    def test_coincident_and_parity_degenerate_refused(self):
+        # A coincident pair, and phi_a - phi_b = pi/2 at zero angle
+        # difference, where every angle coefficient of a factor of f_M
+        # vanishes: both refuse, with the determinant magnitude attached.
+        for spec in (
+            _spec(0.9, 0.0, 0.0, 0.9, 0.0, 0.0),
+            _spec(1.3, 0.4, 0.9, 1.3, 0.4, 0.9),
+            _spec(1.0, math.pi / 2.0, 0.0, 1.0, 0.0, 0.0),
+        ):
+            with pytest.raises(DegenerateKernelError) as exc_info:
+                xi_matrix(spec)
+            assert exc_info.value.det_magnitude < DEGENERACY_THRESHOLD
+
     @pytest.mark.parametrize("point", GENERIC_POINTS)
     def test_squared_prefactor_identity(self, point):
         # det Xi * (passive-block determinant) * pi^4 cosh^4 r_a cosh^4 r_b
@@ -176,13 +178,12 @@ class TestReducedForm:
         # * det(12x12 system) telescopes to 16 pi^4: every Gaussian layer
         # of the reduction must cancel for this to hold.
         spec = _spec(*point)
-        kc = kernel_coefficients(spec)
         xi = xi_matrix(spec)
         ra, rb = spec.a.r, spec.b.r
         ta, tb = math.tanh(ra), math.tanh(rb)
         lhs = (
             xi_determinant(xi)
-            * (kc.scrD1 * kc.scrDbar1 - kc.D4 * kc.D4)
+            * passive_block_determinant(spec)
             * math.pi**4
             * math.cosh(ra) ** 4
             * math.cosh(rb) ** 4
@@ -192,11 +193,69 @@ class TestReducedForm:
         )
         assert abs(lhs / (16.0 * math.pi**4) - 1.0) <= 1e-8
 
-    def test_shifted_entries_reference_wavefunction(self):
-        spec = _spec(*GENERIC_POINTS[0])
-        kc = kernel_coefficients(spec)
-        expected = 0.5 + coeff_A(spec.b.r, spec.b.varphi) - kc.D1
-        assert kc.scrD1 == expected
+
+
+def _relative_error(xi, ref):
+    got = (xi.xi11, xi.xi22, xi.xi12)
+    return max(abs(u - v) for u, v in zip(got, ref)) / max(map(abs, ref))
+
+
+class TestDeepSqueeze:
+    """The double-precision closed form against the extended-precision
+    reference chain, across the squeezing range the library accepts."""
+
+    def test_random_draws_match_reference(self):
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            ra, rb = rng.uniform(0.0, 20.0, size=2)
+            pa, pb, dth = rng.uniform(-math.pi, math.pi, size=3)
+            xi = xi_matrix(_spec(ra, pa, dth, rb, pb, 0.0))
+            assert _relative_error(xi, _xi_extended(ra, pa, rb, pb, dth)) <= 1e-12
+
+    def test_near_degeneracy_loci_match_reference(self):
+        # Within 1e-3 of dtheta = 0 and dtheta = +-(phi_a - phi_b) (mod pi),
+        # where a factor of f_M nearly vanishes.
+        rng = np.random.default_rng(45)
+        for _ in range(200):
+            ra, rb = rng.uniform(4.0, 5.0, size=2)
+            pa, pb = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=2)
+            locus = (0.0, pa - pb, pb - pa)[rng.integers(3)] + math.pi * rng.integers(-1, 2)
+            dth = locus + rng.uniform(-1e-3, 1e-3)
+            xi = xi_matrix(_spec(ra, pa, dth, rb, pb, 0.0))
+            assert _relative_error(xi, _xi_extended(ra, pa, rb, pb, dth)) <= 1e-10
+
+    def test_wide_bin_converges_onto_infinite_squeezing(self):
+        # phi = -+0.2, dtheta = 0.5: the gap to the r -> infinity value
+        # shrinks with r down to rounding, never growing by more than one
+        # unit in the last place; r = 10 ... 20 are the deep-squeeze inputs
+        # the benchmark's single calls include.
+        limit = correlator_large_ell_large_squeeze(-0.2, 0.2, 0.5).value
+        assert limit == pytest.approx(0.7953440512161, abs=1e-13)
+        rs = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 10.0, 12.0, 15.0, 18.0, 20.0)
+        gaps = [
+            abs(correlator_large_ell(_spec(r, -0.2, 0.5, r, 0.2, 0.0)).value - limit)
+            for r in rs
+        ]
+        assert all(b <= a + math.ulp(limit) for a, b in zip(gaps, gaps[1:]))
+        for r, gap in zip(rs, gaps):
+            if r >= 10.0:
+                assert gap <= 0.04 * math.exp(-2.0 * r) + 1e-15
+
+    @pytest.mark.parametrize("r", [200.0, 800.0])
+    def test_beyond_double_range_refused(self, r):
+        # det(S^-1 + M^-1) grows like e^{2(r_a + r_b)} and leaves double
+        # precision past r_a + r_b ~ 355; that is a typed refusal.
+        with pytest.raises(ComplexOverflowError, match="leaves double precision"):
+            xi_matrix(_spec(r, 0.3, 0.5, r, -0.1, 0.0))
+
+    @pytest.mark.parametrize("r", [10.0, 12.0])
+    def test_phi_zero_needs_no_nudge(self, r):
+        # g_s = sigma_a sigma_b sin(dtheta) is small here only through the
+        # squeezing, so the kernel is not degenerate.
+        res = correlator_large_ell(_spec(r, 0.0, 0.5, r, 0.0, 0.0))
+        assert res.notes == () and not res.degenerate_path
+        limit = correlator_large_ell_large_squeeze(0.0, 0.0, 0.5).value
+        assert abs(res.value - limit) <= 1e-8
 
 
 class TestLargeSqueezeAsymptote:

@@ -50,7 +50,6 @@ def _drive(capsys):
     for method in ("numeric", "oracle", "large-squeeze", "small-ell"):
         assert cli.run(["correlator", *flags, "--method", method]) == 0
     assert cli.run(["correlator", "--ra", "1", "--ell", "1", "--method", "equal-time"]) == 0
-    # r = 5, phi = 0 takes the extended-precision Xi.
     assert cli.run(["correlator", "--ra", "5", "--dtheta", "1", "--ell", "100", "--method", "large-ell"]) == 0
     capsys.readouterr()
 
@@ -69,7 +68,7 @@ def test_install_drive_and_undo(tracing, capsys):
         "cli.run", "bell.sweep_map", "bell.find_max", "bell.node_keys", "bell.pool",
         "bell.pool.task", "bell.evaluate_key", "bell.evaluate_pair",
         "evaluators.numeric", "evaluators.equal_time", "evaluators.closed_form",
-        "kernel.xi", "kernel.xi_extended", "quadrature.adaptive_1d", "oracle",
+        "kernel.xi", "quadrature.adaptive_1d", "oracle",
     ):
         assert tracer.calls[layer] > 0, layer
     assert tracer.counts["bell.refine.probes"] > 0
