@@ -5,10 +5,12 @@
     B = E(a, b) + E(a, b') + E(a', b) - E(a', b'),
 
 whose legs share states. Sweeps, refinement, ``bell_operator`` and the CLI
-share one engine: each leg becomes a parity-folded key and a sign, keys a
-memo lacks are evaluated once each, and nodes are summed from the memo in
-index order, so output is deterministic and independent of the worker
-count. Refinement starts from the sweep's memo.
+share one engine. ``evaluate`` gives one pair's signed ``CorrelatorResult``
+(the CLI's correlator); for the rest each leg becomes a parity-folded key
+and a sign, keys a memo lacks are evaluated once each through
+``evaluate``, and nodes are summed from the memo in index order, so output
+is deterministic and independent of the worker count. Refinement starts
+from the sweep's memo.
 
 Each ``sweep_map`` and each ``find_max`` call owns one ``WorkerPool``. Its
 process pool starts on the first batch of two or more keys and is shut
@@ -44,8 +46,8 @@ from .evaluators import (
     correlator_large_ell_large_squeeze,
     correlator_numeric,
     correlator_small_ell,
-    is_coincident,
 )
+from .kernel import is_coincident
 from .state import SqueezeParams, TransitionSpec
 
 __all__ = [
@@ -57,6 +59,7 @@ __all__ = [
     "sweep_map",
     "find_max",
     "leg_key",
+    "evaluate",
     "evaluate_keys",
     "WorkerPool",
     "METHODS",
@@ -291,20 +294,26 @@ def _evaluate_pair(
     return adapter(spec, settings)
 
 
-def evaluate_key(key: _Key, method: str, settings: EvaluationSettings) -> tuple[float, str, str]:
-    """Evaluate one correlator key; errors become (nan, method, flag).
+def evaluate(spec: TransitionSpec, method: str, settings: EvaluationSettings) -> CorrelatorResult:
+    """E for the pair by ``method``, with the evaluator's full account; errors raise.
 
     The angle difference is parity-folded first, so every method obeys
-    E(dtheta + pi) = -E(dtheta).
+    E(dtheta + pi) = -E(dtheta); the returned value carries the fold's sign.
     """
+    spec, sign = _parity_reduce(spec)
+    res = _evaluate_pair(spec, settings, method)
+    return res if sign == 1.0 else replace(res, value=sign * res.value)
+
+
+def evaluate_key(key: _Key, method: str, settings: EvaluationSettings) -> tuple[float, str, str]:
+    """Evaluate one correlator key by ``evaluate``; errors become (nan, method, flag)."""
     ra, pa, rb, pb, dth, ell = key
-    spec, sign = _parity_reduce(TransitionSpec(a=SqueezeParams(ra, pa, dth), b=SqueezeParams(rb, pb)))
+    spec = TransitionSpec(a=SqueezeParams(ra, pa, dth), b=SqueezeParams(rb, pb))
     try:
-        res = _evaluate_pair(spec, replace(settings, ell=ell), method)
+        res = evaluate(spec, method, replace(settings, ell=ell))
     except SqueezeBellError as exc:
         return math.nan, method, f"{type(exc).__name__}: {exc}"
-    flag = "; ".join(res.notes) if res.notes else ("degenerate-path" if res.degenerate_path else "")
-    return sign * res.value, res.method, flag
+    return res.value, res.method, "; ".join(res.notes)
 
 
 def _evaluate_key_task(args: tuple[_Key, str, EvaluationSettings]) -> tuple[float, str, str]:

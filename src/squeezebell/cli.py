@@ -33,12 +33,10 @@ from .bell import (
     BellConfig,
     SweepGrid,
     SweepResult,
-    WorkerPool,
     bell_operator,
+    evaluate,
     evaluate_key,  # noqa: F401  (re-exported; perfbench/tracing.py wraps it here)
-    evaluate_keys,
     find_max,
-    leg_key,
     sweep_map,
 )
 from .errors import SqueezeBellError
@@ -324,16 +322,14 @@ def _scan_payload(sweep: SweepResult, fmt: str) -> str:
 
 
 def _run_correlator(table: dict[str, object]) -> None:
-    settings = _settings(table)
-    spec = _pair_spec(table)
-    key, sign = leg_key(spec.a, spec.b, settings.ell)
-    [(value, method, flag)] = evaluate_keys([key], {}, str(table["method"]), settings, WorkerPool(1))
-    value *= sign
-    if math.isnan(value):
-        raise SqueezeBellError(flag or "correlator evaluation failed")
-    res = CorrelatorResult(value=value, method=method, notes=(flag,) if flag else ())
+    try:
+        res = evaluate(_pair_spec(table), str(table["method"]), _settings(table))
+    except SqueezeBellError as exc:
+        raise SqueezeBellError(f"{type(exc).__name__}: {exc}") from exc
+    if math.isnan(res.value):
+        raise SqueezeBellError("correlator evaluation failed")
     _emit(_result_payload(res, str(table["format"])), table)
-    print(f"method = {method}" + (f"; {flag}" if flag else ""), file=sys.stderr)
+    print("; ".join([f"method = {res.method}", *res.notes]), file=sys.stderr)
 
 
 def _run_bell(table: dict[str, object]) -> None:

@@ -43,11 +43,7 @@ class SingularLocusError(SqueezeBellError):
 
 
 class DegenerateKernelError(SqueezeBellError):
-    """Two-time kernel determinant vanishes (coincident or parity-degenerate)."""
-
-    def __init__(self, message: str, det_magnitude: float = 0.0):
-        self.det_magnitude = float(det_magnitude)
-        super().__init__(message)
+    """Two-time kernel collapses: the two snapshots are a coincident pair."""
 
 
 class NonConvergentXiError(SqueezeBellError):

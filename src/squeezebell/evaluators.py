@@ -15,10 +15,15 @@ bands of width ell. Five evaluation routes are provided:
 - ``equal-time``: direct cell quadrature of the squared wavefunction for a
   coincident pair, where the two-time kernel degenerates.
 
-``auto`` dispatches on bin width relative to the squeezing scale e^r and
-routes exactly coincident transitions to the equal-time path; nearly
-degenerate (but not coincident) transitions are re-evaluated at a nudged
-angle difference, recorded in the result notes.
+``auto`` dispatches on bin width relative to the squeezing scale e^r.
+
+Degeneracy is decided once, by ``kernel.is_coincident`` on the folded
+pair: a coincident pair goes to the equal-time path (``auto``) or the
+wide-bin arcsin limit (``large-ell``), and every method that needs Xi
+refuses it with DegenerateKernelError. Everything else is evaluated at the
+angle difference it was given. The kernel determinant also vanishes on a
+hypersurface of non-coincident pairs, but Xi is continuous there (see
+``kernel``), so no angle is shifted.
 
 All spec-taking evaluators first fold the angle difference into
 [-pi/2, pi/2] using the exact parity identity E(dtheta + pi) = -E(dtheta)
@@ -27,7 +32,9 @@ Q -> -Q, and the sign-binned observable is odd). The fold is an algebraic
 identity, not an approximation, so it is applied silently; it keeps every
 evaluation away from the ill-conditioned neighborhoods of dtheta = k pi
 for k != 0 and turns dtheta = pi for an otherwise identical pair into a
-clean equal-time delegation.
+clean equal-time delegation. A folded difference within _FOLD_SNAP of zero
+is taken as exactly zero, so a leg that rounding left next to
+coincidence takes the coincident route.
 """
 
 from __future__ import annotations
@@ -39,14 +46,10 @@ import numpy as np
 import scipy.special as _sp
 
 from .complexfn import principal_arctan, principal_sqrt
-from .errors import (
-    ComplexOverflowError,
-    DegenerateKernelError,
-    MaxBandsExceededError,
-    NonConvergentXiError,
-)
+from .errors import ComplexOverflowError, MaxBandsExceededError, NonConvergentXiError
 from .kernel import (
     XiMatrix,
+    is_coincident,
     large_squeeze_zeta,
     series_prefactor,
     xi_determinant,
@@ -67,19 +70,13 @@ __all__ = [
     "band_series_value",
     "narrow_bin_value",
     "wide_bin_value",
-    "is_coincident",
     "require_converged",
-    "NUDGE",
 ]
 
-NUDGE = 1e-7
-
-_CONDITION_NAMES = (
-    "Re(Xi11)",
-    "Re(Xi22)",
-    "Re(Xi11 - Xi12^2/Xi22)",
-    "Re(Xi22 - Xi12^2/Xi11)",
-)
+# A folded angle difference at most this far from zero is rounding, not a
+# lag: the difference of two angles of size up to a few pi (a linspace
+# node, theta_a - theta_b) carries a few ulp(pi) of it.
+_FOLD_SNAP = 8.0 * math.ulp(math.pi)
 
 
 @dataclass(frozen=True)
@@ -112,9 +109,9 @@ class EvaluationSettings:
 class CorrelatorResult:
     """Correlator value plus an honest account of how it was obtained.
 
-    ``degenerate_path`` marks values that went through the degeneracy
-    policy (equal-time delegation or angle nudge); ``notes`` carries the
-    human-readable detail.
+    ``degenerate_path`` marks values of a coincident pair, which ``auto``
+    delegates to the equal-time path and ``large-ell`` to the wide-bin
+    arcsin limit; ``notes`` carries the human-readable detail.
     """
 
     value: float
@@ -126,31 +123,27 @@ class CorrelatorResult:
     notes: tuple[str, ...] = ()
 
 
-def require_converged(xi: XiMatrix) -> None:
-    """Raise NonConvergentXiError naming the first violated condition, if any."""
-    if xi.converged:
-        return
-    for name, val in zip(_CONDITION_NAMES, xi.diagnostics):
-        if not val < 0.0:
-            raise NonConvergentXiError(f"{name} >= 0: convergence condition violated")
-    raise NonConvergentXiError("convergence condition violated")
+def _conditions(xi: XiMatrix):
+    """(name, value) of the four convergence conditions, each met when value < 0.
 
-
-def is_coincident(spec: TransitionSpec) -> bool:
-    """True when both snapshots are the same physical state at the same angle.
-
-    Identity is taken modulo the exact symmetries: varphi modulo pi (the
-    wavefunction depends on e^{-2i varphi} squared terms only through
-    tanh^2), theta difference modulo 2 pi, and varphi irrelevant at r = 0.
+    Lazy, so each Schur complement is formed only after its divisor's real
+    part has been read.
     """
-    a, b = spec.a, spec.b
-    if a.r != b.r:
-        return False
-    if math.remainder(spec.delta_theta, 2.0 * math.pi) != 0.0:
-        return False
-    if a.r == 0.0:
-        return True
-    return math.remainder(a.varphi - b.varphi, math.pi) == 0.0
+    x11, x22, x12 = xi.xi11, xi.xi22, xi.xi12
+    yield "Re(Xi11)", x11.real
+    yield "Re(Xi22)", x22.real
+    yield "Re(Xi11 - Xi12^2/Xi22)", (x11 - x12 * x12 / x22).real
+    yield "Re(Xi22 - Xi12^2/Xi11)", (x22 - x12 * x12 / x11).real
+
+
+def require_converged(xi: XiMatrix) -> None:
+    """Raise NonConvergentXiError naming the first violated condition, if any.
+
+    A non-finite value violates its condition.
+    """
+    for name, value in _conditions(xi):
+        if not (value < 0.0 and math.isfinite(value)):
+            raise NonConvergentXiError(f"{name} >= 0: convergence condition violated")
 
 
 def _parity_fold(dth: float) -> tuple[float, float]:
@@ -161,6 +154,8 @@ def _parity_fold(dth: float) -> tuple[float, float]:
     and the correlator is odd in xi12.
     """
     delta = math.remainder(dth, math.pi)
+    if abs(delta) <= _FOLD_SNAP:
+        delta = 0.0
     if delta == dth:
         return dth, 1.0
     k = round((dth - delta) / math.pi)
@@ -177,34 +172,6 @@ def _parity_reduce(spec: TransitionSpec) -> tuple[TransitionSpec, float]:
     if delta == spec.delta_theta:
         return spec, sign
     return TransitionSpec(a=replace(spec.a, theta=delta), b=replace(spec.b, theta=0.0)), sign
-
-
-def _resolve_xi(spec: TransitionSpec) -> tuple[XiMatrix, tuple[str, ...]]:
-    """Xi for the pair, nudging the angle difference off a degenerate locus.
-
-    Exactly coincident pairs are not nudged here; callers route them to the
-    equal-time evaluator first. Everything else that trips the degeneracy
-    threshold is re-evaluated at delta_theta +/- NUDGE with the direction
-    recorded.
-    """
-    try:
-        return xi_matrix(spec), ()
-    except DegenerateKernelError:
-        if is_coincident(spec):
-            raise
-        last: DegenerateKernelError | None = None
-        for sgn, label in ((1.0, "+"), (-1.0, "-")):
-            nudged = TransitionSpec(
-                a=replace(spec.a, theta=spec.a.theta + sgn * NUDGE),
-                b=spec.b,
-            )
-            try:
-                xi = xi_matrix(nudged)
-                return xi, (f"degenerate kernel: re-evaluated at delta_theta {label} {NUDGE:g}",)
-            except DegenerateKernelError as exc:
-                last = exc
-        assert last is not None
-        raise last
 
 
 def band_series_value(
@@ -316,16 +283,13 @@ def band_series_value(
 def correlator_numeric(spec: TransitionSpec, settings: EvaluationSettings) -> CorrelatorResult:
     """Two-time correlator by the resummed band series (reference numeric path)."""
     spec, parity = _parity_reduce(spec)
-    xi, notes = _resolve_xi(spec)
-    value, n_bands, n_terms, qerr = band_series_value(xi, settings)
+    value, n_bands, n_terms, qerr = band_series_value(xi_matrix(spec), settings)
     return CorrelatorResult(
         value=parity * value,
         method="numeric",
         n_bands_used=n_bands,
         series_terms_used=n_terms,
         quadrature_error_estimate=qerr,
-        degenerate_path=bool(notes),
-        notes=notes,
     )
 
 
@@ -363,11 +327,8 @@ def correlator_small_ell(spec: TransitionSpec, ell: float) -> CorrelatorResult:
     if not (math.isfinite(ell) and ell > 0):
         raise ValueError(f"ell must be finite and > 0, got {ell!r}")
     spec, parity = _parity_reduce(spec)
-    xi, notes = _resolve_xi(spec)
-    value = narrow_bin_value(xi, ell)
-    return CorrelatorResult(
-        value=parity * value, method="small-ell", degenerate_path=bool(notes), notes=notes
-    )
+    value = narrow_bin_value(xi_matrix(spec), ell)
+    return CorrelatorResult(value=parity * value, method="small-ell")
 
 
 def _sign_operator_equal_time(params: SqueezeParams) -> float:
@@ -398,11 +359,7 @@ def correlator_large_ell(spec: TransitionSpec) -> CorrelatorResult:
             degenerate_path=True,
             notes=("coincident pair: wide-bin equal-time limit",),
         )
-    xi, notes = _resolve_xi(spec)
-    value = wide_bin_value(xi)
-    return CorrelatorResult(
-        value=parity * value, method="large-ell", degenerate_path=bool(notes), notes=notes
-    )
+    return CorrelatorResult(value=parity * wide_bin_value(xi_matrix(spec)), method="large-ell")
 
 
 def correlator_large_ell_large_squeeze(

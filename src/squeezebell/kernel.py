@@ -3,7 +3,7 @@
 The two-time expectation value reduces to a four-variable Gaussian over
 the two sign-binned quadratures and two passive ones. Integrating out the
 passive pair leaves a 2x2 complex quadratic form Xi; every evaluator
-downstream consumes only Xi and its convergence diagnostics.
+downstream consumes only Xi.
 
 With P and C the passive and cross 2x2 blocks of the four-variable form,
 Xi = P - C P^-1 C = 2 (S^-1 + M^-1)^-1 for S = P + C and M = P - C. Both
@@ -32,11 +32,16 @@ Xi is ill-conditioned in its input angles anyway. So double precision
 holds at every squeezing and there is no extended-precision path.
 
 Degeneracy: the 12x12 system determinant factors as
-f_M = -4 e^{2i dtheta} g_s g_c with two real factors g_s and g_c. It
-vanishes when the two snapshots coincide (up to periodicity) or sit at a
-parity-degenerate angle difference, where the kernel collapses to a delta
-sheet. That is reported as DegenerateKernelError; resolution (equal-time
-path or angle nudge) is the evaluator layer's job, not this module's.
+f_M = -4 e^{2i dtheta} g_s g_c with two real factors g_s and g_c, each a
+sinusoid in dtheta, so f_M vanishes on a hypersurface of (r, phi, dtheta).
+S and M carry those factors (S ~ 1/g_c, M ~ 1/g_s) but they cancel out of
+Xi, whose determinant above never vanishes, so Xi is continuous across
+that hypersurface.
+What does degenerate is the coincident pair (the same state at the same
+angle, up to the half-turn parity image): the two-time kernel collapses
+to a delta sheet that no Gaussian form describes. ``xi_matrix`` refuses
+exactly that pair, through ``is_coincident``, with DegenerateKernelError;
+routing it to the equal-time path is the evaluator layer's job.
 """
 
 from __future__ import annotations
@@ -51,129 +56,48 @@ from .state import TransitionSpec
 
 __all__ = [
     "XiMatrix",
-    "kernel_determinant",
+    "is_coincident",
     "xi_matrix",
     "xi_matrix_large_squeeze",
     "large_squeeze_zeta",
     "amplitude_constant",
     "xi_determinant",
     "series_prefactor",
-    "DEGENERACY_THRESHOLD",
 ]
-
-DEGENERACY_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
 class XiMatrix:
-    """Reduced 2x2 complex quadratic form and its convergence diagnostics.
+    """Reduced 2x2 complex quadratic form.
 
     The band series integrates exp((xi11 Y1^2 + 2 xi12 Y1 Y2 + xi22 Y2^2)/2);
-    it converges when all four diagnostics (Re xi11, Re xi22 and the two
-    Schur-complement real parts) are negative. ``strongly_converged``
-    additionally demands Re(xi11) Re(xi22) > Re(xi12)^2, under which the
-    band integrand decays without relying on phase cancellation.
+    it converges when Re xi11, Re xi22 and the real parts of the two Schur
+    complements xi11 - xi12^2/xi22 and xi22 - xi12^2/xi11 are all negative
+    (``evaluators.require_converged`` checks them).
     """
 
     xi11: complex
     xi22: complex
     xi12: complex
-    converged: bool
-    diagnostics: tuple[float, float, float, float]
-
-    @property
-    def strongly_converged(self) -> bool:
-        return (
-            self.xi11.real < 0.0
-            and self.xi22.real < 0.0
-            and self.xi11.real * self.xi22.real - self.xi12.real**2 > 0.0
-        )
 
 
-def _determinant_factors(
-    spec: TransitionSpec,
-) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """Weights and angle coefficients of the two real factors of f_M.
+def is_coincident(spec: TransitionSpec) -> bool:
+    """True when both snapshots are the same physical state at the same angle.
 
-    g_s = sum_k w_k s_k and g_c = sum_k w_k c_k, where the weights
-    (4, 2 sigma_a, 2 sigma_b, sigma_a sigma_b) carry the squeezing through
-    sigma = 1 - tanh r, and the coefficients, each at most 1 in size, carry
-    the angles. Each term is a product correct to rounding, so the only
-    error that can grow is cancellation between the terms of a sum.
+    Identity is taken modulo the exact symmetries: varphi modulo pi (the
+    wavefunction depends on e^{-2i varphi} squared terms only through
+    tanh^2), varphi irrelevant at r = 0, and the angle difference modulo
+    pi, since a half turn only reflects the quadrature (Q -> -Q) and its
+    kernel collapses the same way.
     """
-    ra, pa = spec.a.r, spec.a.varphi
-    rb, pb = spec.b.r, spec.b.varphi
-    psi = spec.delta_theta + pa - pb
-    qa, qb = math.exp(-2.0 * ra), math.exp(-2.0 * rb)
-    sig_a, sig_b = 2.0 * qa / (1.0 + qa), 2.0 * qb / (1.0 + qb)
-    weights = (4.0, 2.0 * sig_a, 2.0 * sig_b, sig_a * sig_b)
-    sin_pa, cos_pa, sin_pb, cos_pb = math.sin(pa), math.cos(pa), math.sin(pb), math.cos(pb)
-    sin_psi = math.sin(psi)
-    # The sigma_a sigma_b coefficient is the same in both factors.
-    shared = math.sin(psi + pa - pb)
-    s = (
-        sin_pa * sin_pb * sin_psi,
-        sin_pb * math.cos(psi + pa),
-        -sin_pa * math.cos(psi - pb),
-        shared,
-    )
-    c = (
-        cos_pa * cos_pb * sin_psi,
-        -cos_pb * math.sin(psi + pa),
-        -cos_pa * math.sin(psi - pb),
-        shared,
-    )
-    return weights, s, c
-
-
-def kernel_determinant(spec: TransitionSpec) -> complex:
-    """Two-time kernel determinant f_M = -4 e^{2i dtheta} g_s g_c.
-
-    Zero is a valid return: the determinant vanishes at coincident
-    measurement parameters, the locus that xi_matrix refuses.
-    """
-    weights, s, c = _determinant_factors(spec)
-    g_s = sum(w * t for w, t in zip(weights, s))
-    g_c = sum(w * t for w, t in zip(weights, c))
-    return -4.0 * cmath.exp(2j * spec.delta_theta) * g_s * g_c
-
-
-def _require_nondegenerate(spec: TransitionSpec) -> None:
-    """Raise DegenerateKernelError when a factor of f_M vanishes.
-
-    A factor vanishes when its terms cancel to DEGENERACY_THRESHOLD of
-    their summed size (as at a coincident pair), or when all four of its angle
-    coefficients lie within DEGENERACY_THRESHOLD of zero, so that f_M
-    vanishes at these angles for every squeezing (a parity-degenerate
-    pair). A factor that is small only through its weights, as g_s is at
-    phi = 0 and deep squeezing, is not degenerate.
-    """
-    weights, s, c = _determinant_factors(spec)
-    for coefficients in (s, c):
-        terms = [w * t for w, t in zip(weights, coefficients)]
-        cancels = abs(sum(terms)) <= DEGENERACY_THRESHOLD * sum(map(abs, terms))
-        if cancels or max(map(abs, coefficients)) <= DEGENERACY_THRESHOLD:
-            f_m = abs(kernel_determinant(spec))
-            raise DegenerateKernelError(
-                f"two-time kernel determinant vanishes (|f_M| = {f_m:.3e}); "
-                "coincident or parity-degenerate transition",
-                det_magnitude=f_m,
-            )
-
-
-def _safe_real(z: complex) -> float:
-    return z.real if math.isfinite(z.real) else math.inf
-
-
-def _form(xi11: complex, xi22: complex, xi12: complex) -> XiMatrix:
-    diag = (
-        _safe_real(xi11),
-        _safe_real(xi22),
-        _safe_real(xi11 - xi12 * xi12 / xi22) if xi22 != 0.0 else math.inf,
-        _safe_real(xi22 - xi12 * xi12 / xi11) if xi11 != 0.0 else math.inf,
-    )
-    converged = all(v < 0.0 for v in diag)
-    return XiMatrix(xi11=xi11, xi22=xi22, xi12=xi12, converged=converged, diagnostics=diag)
+    a, b = spec.a, spec.b
+    if a.r != b.r:
+        return False
+    if math.remainder(spec.delta_theta, math.pi) != 0.0:
+        return False
+    if a.r == 0.0:
+        return True
+    return math.remainder(a.varphi - b.varphi, math.pi) == 0.0
 
 
 def xi_matrix(spec: TransitionSpec) -> XiMatrix:
@@ -181,10 +105,13 @@ def xi_matrix(spec: TransitionSpec) -> XiMatrix:
 
     Xi = 2 (S^-1 + M^-1)^-1 in the closed form of the module docstring;
     xi11 belongs to the later-argument (b) side and xi22 to the earlier (a)
-    side. The ``converged`` flag summarizes the four band-series
-    convergence conditions, stored verbatim in ``diagnostics``.
+    side. A coincident pair raises DegenerateKernelError, and a form that
+    leaves double precision raises ComplexOverflowError.
     """
-    _require_nondegenerate(spec)
+    if is_coincident(spec):
+        raise DegenerateKernelError(
+            "two-time kernel collapses for a coincident transition pair"
+        )
     ra, pa = spec.a.r, spec.a.varphi
     rb, pb = spec.b.r, spec.b.varphi
     c, s = math.cos(pa + pb), math.sin(pa + pb)
@@ -203,7 +130,7 @@ def xi_matrix(spec: TransitionSpec) -> XiMatrix:
             f"reduced quadratic form leaves double precision at r_a + r_b = {ra + rb:g}"
         )
     f = 2.0 / det
-    return _form(-f * ch_a, -f * ch_b, f * p)
+    return XiMatrix(-f * ch_a, -f * ch_b, f * p)
 
 
 def _xi_extended(
@@ -306,7 +233,7 @@ def xi_matrix_large_squeeze(spec: TransitionSpec) -> XiMatrix:
             "large-squeezing quadratic form singular: |4 - zeta^2| < 8e-14 "
             "(maximal-correlation locus)"
         )
-    return _form(-2.0 * ub * ub / chi, -2.0 * ua * ua / chi, zeta * ua * ub / chi)
+    return XiMatrix(-2.0 * ub * ub / chi, -2.0 * ua * ua / chi, zeta * ua * ub / chi)
 
 
 def amplitude_constant(xi: XiMatrix) -> complex:

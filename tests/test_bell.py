@@ -19,10 +19,11 @@ from squeezebell.bell import (
     bell_operator,
     evaluate_key,
     find_max,
+    leg_key,
     sweep_map,
 )
-from squeezebell.errors import SqueezeBellError
-from squeezebell.evaluators import EvaluationSettings, correlator_auto
+from squeezebell.errors import DegenerateKernelError, SqueezeBellError
+from squeezebell.evaluators import EvaluationSettings, correlator_auto, correlator_numeric
 from squeezebell.state import SqueezeParams, TransitionSpec
 
 SETTINGS = EvaluationSettings(ell=2.0)
@@ -295,6 +296,90 @@ class TestFindMax:
         grid = self._large_ell_grid(("ell", 0.01, 2.0, 5))
         sweep = sweep_map(grid, workers=1)
         assert find_max(grid, sweep, workers=1) == find_max(grid, sweep, workers=2)
+
+
+class TestRoundingNextToCoincidence:
+    """A leg that rounding leaves next to coincidence is the coincident leg."""
+
+    ONE_ULP = [
+        (math.pi, math.nextafter(math.pi, 0.0), 1.0),  # difference ulp(pi)
+        (math.nextafter(math.pi, 4.0), 0.0, -1.0),  # a half turn plus ulp(pi)
+        (2.0, math.nextafter(2.0, 0.0), 1.0),
+    ]
+
+    @pytest.mark.parametrize("th_a, th_b, sign", ONE_ULP)
+    def test_coincident_key_and_bits(self, th_a, th_b, sign):
+        pa, pb = SqueezeParams(1.0, 0.3, th_a), SqueezeParams(1.0, 0.3, th_b)
+        key, got_sign = leg_key(pa, pb, 2.0)
+        assert key == (1.0, 0.3, 1.0, 0.3, 0.0, 2.0) and got_sign == sign
+        exact = TransitionSpec(a=SqueezeParams(1.0, 0.3, 0.0), b=SqueezeParams(1.0, 0.3, 0.0))
+        for method in ("auto", "large-ell"):
+            assert evaluate_key(key, method, SETTINGS) == evaluate_key(
+                (1.0, 0.3, 1.0, 0.3, 0.0, 2.0), method, SETTINGS
+            )
+        res = correlator_auto(TransitionSpec(a=pa, b=pb), SETTINGS)
+        assert res.method == "equal-time"
+        assert res.value == sign * correlator_auto(exact, SETTINGS).value
+        with pytest.raises(DegenerateKernelError):
+            correlator_numeric(TransitionSpec(a=pa, b=pb), SETTINGS)
+
+
+def _layout_grid(n, method):
+    # The benchmark's CHSH layouts: r = 5, phi = 0, ell = 100 on all four
+    # settings, both primed differences across [-pi, pi].
+    mode = SqueezeParams(5.0, 0.0, 0.0)
+    return SweepGrid(
+        fixed=BellConfig(
+            a=mode, a_prime=mode, b=mode, b_prime=mode,
+            settings=EvaluationSettings(ell=100.0), method=method,
+        ),
+        axis1=("dtheta_apbp", -math.pi, math.pi, n),
+        axis2=("dtheta_apb", -math.pi, math.pi, n),
+    )
+
+
+def _rounding_nodes(grid, sweep):
+    """Nodes with a leg whose raw angle difference is a few ulp off k pi, not k pi."""
+    mask = np.zeros(sweep.values.shape, dtype=bool)
+    for i, xv in enumerate(sweep.x):
+        for j, yv in enumerate(sweep.y):
+            c = bell._node_config(grid, float(xv), float(yv))
+            pairs = ((c.a, c.b), (c.a, c.b_prime), (c.a_prime, c.b), (c.a_prime, c.b_prime))
+            mask[i, j] = any(
+                0.0 < abs(math.remainder(p.theta - q.theta, math.pi)) <= 1e-14 for p, q in pairs
+            )
+    return mask
+
+
+class TestBenchmarkLayouts:
+    """The 61x61 ``auto`` and 241x241 ``large-ell`` CHSH maps.
+
+    linspace leaves legs at some nodes 4.4e-16 from coincidence. Those legs
+    share the coincident key; every other node keeps its value, which the
+    sums below pin (recorded before such legs were keyed as coincident).
+    """
+
+    CASES = [
+        # n, method, unique keys, rounding nodes, sum over the other nodes,
+        # grid maximum and its node, refined maximum, refinement evaluations
+        (61, "auto", 161, 27, 3703.6017480738537,
+         (2.0878084157022494, 1, 2), 2.1802957010355835, 94),
+        (241, "large-ell", 702, 125, 58008.6466171903,
+         (1.9998843900293153, 86, 120), 1.9998843900293153, 56),
+    ]
+
+    @pytest.mark.parametrize("n, method, keys, rounding, other_sum, grid_max, refined, evals", CASES)
+    def test_map_and_refinement(self, n, method, keys, rounding, other_sum, grid_max, refined, evals):
+        grid = _layout_grid(n, method)
+        sweep = sweep_map(grid, workers=2)
+        assert len(sweep.table) == keys
+        assert all(k[4] == 0.0 or abs(k[4]) > 1e-14 for k in sweep.table)
+        mask = _rounding_nodes(grid, sweep)
+        assert int(mask.sum()) == rounding
+        assert float(np.sum(sweep.values[~mask])) == pytest.approx(other_sum, abs=1e-9)
+        assert sweep.max_node() == grid_max
+        best = find_max(grid, sweep, workers=2)
+        assert (best.value, best.n_evaluations) == (refined, evals)
 
 
 def _failing_task(args):

@@ -9,6 +9,8 @@ import pytest
 
 from squeezebell import bell
 from squeezebell.cli import _build_parser, run
+from squeezebell.evaluators import EvaluationSettings, correlator_numeric
+from squeezebell.state import SqueezeParams, TransitionSpec
 
 REGRESSION_FLAGS = [
     "--ra", "1.2", "--phia", "0.1", "--rb", "0.9", "--phib", "-0.15",
@@ -111,6 +113,34 @@ class TestCorrelatorPayload:
         assert doc["value"] == float(REGRESSION_VALUE)
         assert doc["method"] == "numeric"
         assert doc["degenerate_path"] is False
+
+    def test_json_reports_the_evaluator_provenance(self, capsys):
+        assert run(["correlator", *REGRESSION_FLAGS, "--method", "numeric", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        spec = TransitionSpec(a=SqueezeParams(1.2, 0.1, 0.3), b=SqueezeParams(0.9, -0.15, 0.0))
+        res = correlator_numeric(spec, EvaluationSettings(ell=2.0))
+        assert doc == {
+            "value": float(f"{res.value:.12g}"),
+            "method": "numeric",
+            "n_bands_used": res.n_bands_used,
+            "series_terms_used": res.series_terms_used,
+            "quadrature_error_estimate": res.quadrature_error_estimate,
+            "degenerate_path": False,
+            "notes": [],
+        }
+        assert doc["n_bands_used"] > 0 and doc["series_terms_used"] > 0
+        assert doc["quadrature_error_estimate"] > 0.0
+
+    def test_json_reports_the_coincident_route(self, capsys):
+        assert run(["correlator", "--ra", "1", "--ell", "1", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["method"], doc["degenerate_path"]) == ("equal-time", True)
+        assert doc["notes"] == ["coincident pair: delegated to equal-time path"]
+        assert doc["n_bands_used"] > 0
+
+    def test_refusal_names_the_error_type(self, capsys):
+        assert run(["correlator", "--ra", "1", "--ell", "1", "--method", "numeric"]) == 2
+        assert capsys.readouterr().err.startswith("error: DegenerateKernelError: ")
 
     def test_forced_equal_time_half_turn_negates(self, capsys):
         base = ["correlator", "--ra", "1", "--phia", "0.2", "--ell", "1", "--method", "equal-time"]

@@ -8,6 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from kernel_blocks import DETERMINANT_ROOTS
 from squeezebell.errors import (
     ComplexOverflowError,
     DegenerateKernelError,
@@ -28,6 +29,7 @@ from squeezebell.evaluators import (
     _sign_operator_equal_time,
 )
 from squeezebell.kernel import XiMatrix, xi_matrix
+from squeezebell.oracle import correlator_quadrature
 from squeezebell.state import SqueezeParams, TransitionSpec, fock_amplitude
 
 angle_draw = st.floats(min_value=-math.pi, max_value=math.pi)
@@ -139,18 +141,27 @@ class TestNumeric:
         assert r0.value == r1.value
 
     def test_coincident_pair_refused(self):
+        # By every route that needs Xi.
         spec = _spec(1.0, 0.2, 0.0, 1.0, 0.2)
         with pytest.raises(DegenerateKernelError):
             correlator_numeric(spec, EvaluationSettings(ell=1.0))
+        with pytest.raises(DegenerateKernelError):
+            correlator_small_ell(spec, 1.0)
+        with pytest.raises(DegenerateKernelError):
+            correlator_quadrature(spec, 1.0)
 
-    def test_degenerate_noncoincident_nudged(self):
-        # phi_a - phi_b = pi/2 at zero angle difference sends determinant
-        # and numerators to zero together; the angle nudge resolves the 0/0.
-        spec = _spec(1.0, math.pi / 2.0, 0.0, 1.0, 0.0)
-        res = correlator_numeric(spec, EvaluationSettings(ell=1.0))
-        assert res.degenerate_path
-        assert any("re-evaluated" in n for n in res.notes)
-        assert math.isfinite(res.value)
+    def test_determinant_roots_evaluated_in_place(self):
+        # Where a factor of the kernel determinant vanishes but the pair is
+        # not coincident, the band series at the exact angle difference is
+        # the midpoint of the direct cell quadrature at dtheta -+ 1e-6, with
+        # no note: nothing is refused or shifted there.
+        for ra, pa, rb, pb, ell, dth in DETERMINANT_ROOTS:
+            res = correlator_numeric(_spec(ra, pa, dth, rb, pb), EvaluationSettings(ell=ell))
+            assert res.notes == () and not res.degenerate_path
+            lo, hi = (
+                correlator_quadrature(_spec(ra, pa, dth + h, rb, pb), ell) for h in (-1e-6, 1e-6)
+            )
+            assert abs(res.value - 0.5 * (lo + hi)) <= 1e-11
 
     def test_band_cap_enforced(self):
         spec = _spec(2.0, 0.3, 0.7, 2.0, -0.2)
@@ -190,7 +201,7 @@ class TestNumeric:
     @pytest.mark.parametrize("args, ell, pinned", PINNED)
     def test_band_series_bit_identical(self, args, ell, pinned):
         value, n_bands, n_terms, entries = pinned
-        xi = XiMatrix(*entries, converged=True, diagnostics=(-1.0, -1.0, -1.0, -1.0))
+        xi = XiMatrix(*entries)
         got, got_bands, got_terms, _ = band_series_value(xi, EvaluationSettings(ell=ell))
         assert (repr(got), got_bands, got_terms) == (value, n_bands, n_terms)
         res = correlator_numeric(_spec(*args), EvaluationSettings(ell=ell))
@@ -200,8 +211,7 @@ class TestNumeric:
     def test_overflowing_series_raised(self):
         # Convergent by all four conditions, but Re(xi12) > 0 makes the
         # scaled erfc terms' exponent pass 709 within the first band.
-        xi = XiMatrix(xi11=-1.0 + 0j, xi22=-1.0 + 0j, xi12=10.0 + 20.0j,
-                      converged=True, diagnostics=(-1.0, -1.0, -301.0, -301.0))
+        xi = XiMatrix(xi11=-1.0 + 0j, xi22=-1.0 + 0j, xi12=10.0 + 20.0j)
         with pytest.raises(ComplexOverflowError, match="overflows double precision"):
             band_series_value(xi, EvaluationSettings(ell=10.0))
 
@@ -234,10 +244,7 @@ class TestSmallEll:
         assert abs(a - b) <= 1e-6
 
     def test_narrow_bin_closed_form_zero_coupling(self):
-        xi = XiMatrix(
-            xi11=-1.0, xi22=-1.0, xi12=0.0,
-            converged=True, diagnostics=(-1.0, -1.0, -1.0, -1.0),
-        )
+        xi = XiMatrix(xi11=-1.0, xi22=-1.0, xi12=0.0)
         assert narrow_bin_value(xi, 0.5) == 0.0
 
     def test_invalid_ell_rejected(self):
@@ -247,8 +254,6 @@ class TestSmallEll:
 
 class TestLargeEll:
     def test_matches_direct_quadrature(self):
-        from squeezebell.oracle import correlator_quadrature
-
         spec = _spec(1.0, 0.3, 0.4, 1.0, -0.2)
         a = correlator_large_ell(spec).value
         b = correlator_quadrature(spec, 100.0 * math.e)
@@ -256,15 +261,9 @@ class TestLargeEll:
 
     def test_wide_bin_closed_form(self):
         # xi12 = -1/2 on the unit diagonal: arctan(-1/2 / sqrt(3)/2) = -pi/6.
-        xi = XiMatrix(
-            xi11=-1.0, xi22=-1.0, xi12=-0.5,
-            converged=True, diagnostics=(-1.0, -1.0, -1.0, -1.0),
-        )
+        xi = XiMatrix(xi11=-1.0, xi22=-1.0, xi12=-0.5)
         assert wide_bin_value(xi) == pytest.approx(-1.0 / 3.0, abs=1e-14)
-        xi0 = XiMatrix(
-            xi11=-1.0, xi22=-1.0, xi12=0.0,
-            converged=True, diagnostics=(-1.0, -1.0, -1.0, -1.0),
-        )
+        xi0 = XiMatrix(xi11=-1.0, xi22=-1.0, xi12=0.0)
         assert wide_bin_value(xi0) == 0.0
 
     def test_coincident_delegates_to_arcsin_limit(self):
@@ -282,11 +281,8 @@ class TestLargeEll:
         assert abs(a - b) <= 1e-7
 
     def test_non_convergent_form_rejected(self):
-        bad = XiMatrix(
-            xi11=1.0, xi22=-1.0, xi12=0.0,
-            converged=False, diagnostics=(1.0, -1.0, 1.0, -1.0),
-        )
-        with pytest.raises(NonConvergentXiError):
+        bad = XiMatrix(xi11=1.0, xi22=-1.0, xi12=0.0)
+        with pytest.raises(NonConvergentXiError, match=r"Re\(Xi11\) >= 0"):
             wide_bin_value(bad)
 
 

@@ -9,15 +9,22 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from kernel_blocks import passive_block_determinant
+from kernel_blocks import (
+    DETERMINANT_ROOTS,
+    convergence_conditions,
+    kernel_determinant,
+    passive_block_determinant,
+)
 from squeezebell.errors import ComplexOverflowError, DegenerateKernelError, SingularLocusError
-from squeezebell.evaluators import correlator_large_ell, correlator_large_ell_large_squeeze
+from squeezebell.evaluators import (
+    correlator_large_ell,
+    correlator_large_ell_large_squeeze,
+    require_converged,
+)
 from squeezebell.kernel import (
-    DEGENERACY_THRESHOLD,
     XiMatrix,
     _xi_extended,
     amplitude_constant,
-    kernel_determinant,
     series_prefactor,
     xi_determinant,
     xi_matrix,
@@ -108,12 +115,12 @@ class TestReducedForm:
             xi = xi_matrix(spec)
         except DegenerateKernelError:
             assume(False)
-        assert xi.converged
-        assert all(v < 0.0 for v in xi.diagnostics)
+        require_converged(xi)
+        assert all(v < 0.0 for v in convergence_conditions(xi))
 
     def test_vacuum_right_angle_finite(self):
         xi = xi_matrix(_spec(0.0, 0.0, math.pi / 2.0, 0.0, 0.0, 0.0))
-        assert xi.converged
+        require_converged(xi)
         assert all(math.isfinite(abs(v)) for v in (xi.xi11, xi.xi22, xi.xi12))
 
     @pytest.mark.parametrize("dth", [0.3, 1.1, -2.0])
@@ -158,18 +165,27 @@ class TestReducedForm:
         assert abs(xi.xi22 - e22) <= 1e-12 * abs(e22)
         assert abs(xi.xi12 - e12) <= 1e-12 * abs(e12)
 
-    def test_coincident_and_parity_degenerate_refused(self):
-        # A coincident pair, and phi_a - phi_b = pi/2 at zero angle
-        # difference, where every angle coefficient of a factor of f_M
-        # vanishes: both refuse, with the determinant magnitude attached.
+    def test_only_coincident_pairs_refused(self):
+        # A coincident pair and its half-turn image refuse. Where only
+        # f_M vanishes (phi_a - phi_b = pi/2 at zero angle difference, and
+        # roots of g_s or g_c) Xi is finite and continuous: it matches the
+        # midpoint of its neighbours, and the extended-precision chain,
+        # which divides by f_M and so keeps only about 12 digits here.
         for spec in (
             _spec(0.9, 0.0, 0.0, 0.9, 0.0, 0.0),
             _spec(1.3, 0.4, 0.9, 1.3, 0.4, 0.9),
-            _spec(1.0, math.pi / 2.0, 0.0, 1.0, 0.0, 0.0),
+            _spec(1.3, 0.4, math.pi, 1.3, 0.4, 0.0),
         ):
-            with pytest.raises(DegenerateKernelError) as exc_info:
+            with pytest.raises(DegenerateKernelError, match="coincident"):
                 xi_matrix(spec)
-            assert exc_info.value.det_magnitude < DEGENERACY_THRESHOLD
+        for ra, pa, rb, pb, _, dth in DETERMINANT_ROOTS:
+            assert abs(kernel_determinant(_spec(ra, pa, dth, rb, pb, 0.0))) <= 1e-14
+            xi = xi_matrix(_spec(ra, pa, dth, rb, pb, 0.0))
+            assert _relative_error(xi, _xi_extended(ra, pa, rb, pb, dth)) <= 1e-11
+            lo, hi = (xi_matrix(_spec(ra, pa, dth + h, rb, pb, 0.0)) for h in (-1e-7, 1e-7))
+            for name in ("xi11", "xi22", "xi12"):
+                mid = 0.5 * (getattr(lo, name) + getattr(hi, name))
+                assert abs(getattr(xi, name) - mid) <= 1e-11
 
     @pytest.mark.parametrize("point", GENERIC_POINTS)
     def test_squared_prefactor_identity(self, point):
@@ -308,13 +324,7 @@ class TestLargeSqueezeAsymptote:
 
 class TestPrefactors:
     def _xi(self, xi11, xi22, xi12):
-        return XiMatrix(
-            xi11=xi11,
-            xi22=xi22,
-            xi12=xi12,
-            converged=True,
-            diagnostics=(-1.0, -1.0, -1.0, -1.0),
-        )
+        return XiMatrix(xi11=xi11, xi22=xi22, xi12=xi12)
 
     def test_amplitude_isotropic(self):
         xi = self._xi(-1.0, -1.0, 0.0)

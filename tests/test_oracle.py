@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from kernel_blocks import kernel_determinant
 import squeezebell.oracle as oracle_mod
 from squeezebell.complexfn import principal_sqrt, quadrant_gaussian
 from squeezebell.errors import BudgetExceededError, DivergentSeriesError
@@ -19,7 +20,7 @@ from squeezebell.evaluators import (
     narrow_bin_value,
     wide_bin_value,
 )
-from squeezebell.kernel import kernel_determinant, xi_determinant, xi_matrix
+from squeezebell.kernel import xi_determinant, xi_matrix
 from squeezebell.oracle import build_M, correlator_quadrature, theta_partial
 from squeezebell.state import SqueezeParams, TransitionSpec
 
