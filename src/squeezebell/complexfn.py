@@ -1,10 +1,10 @@
-"""Branch-pinned complex special functions.
+"""Principal branches of the multivalued complex maps.
 
 Every multivalued map used by the correlator pipeline goes through this
 module so the branch policy lives in exactly one place: principal branches
 everywhere, with the negative real axis of the square root pinned to the
-upper rim (+i sqrt|z|). Downstream algebra (band-series prefactors, quadrant
-Gaussian integrals) is only valid on these branches.
+upper rim (+i sqrt|z|). Downstream algebra (band-series prefactors, the
+wide-bin arctangent) is only valid on these branches.
 """
 
 from __future__ import annotations
@@ -12,19 +12,9 @@ from __future__ import annotations
 import cmath
 import math
 
-import scipy.special as _sp
+from .errors import BranchPoleError
 
-from .errors import BranchPoleError, ComplexOverflowError, QuadrantConditionError
-
-__all__ = [
-    "principal_sqrt",
-    "principal_arctan",
-    "erfc_complex",
-    "erfcx_complex",
-    "quadrant_gaussian",
-]
-
-_QUADRANTS = ("PP", "MP", "PM", "MM")
+__all__ = ["principal_sqrt", "principal_arctan"]
 
 
 def principal_sqrt(z: complex) -> complex:
@@ -50,71 +40,3 @@ def principal_arctan(z: complex) -> complex:
     if z == 1j or z == -1j:
         raise BranchPoleError("arctan branch pole: z = +/- i")
     return cmath.atan(z)
-
-
-def erfc_complex(z: complex) -> complex:
-    """Complementary error function for complex argument.
-
-    Grows like exp(Im(z)^2 - Re(z)^2); arguments far up the imaginary axis
-    overflow double precision and raise ComplexOverflowError instead of
-    returning silent infinities.
-    """
-    w = complex(_sp.erfc(complex(z)))
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise ComplexOverflowError(
-            f"erfc({z!r}) overflows double precision; "
-            "use the scaled form erfcx_complex"
-        )
-    return w
-
-
-def erfcx_complex(z: complex) -> complex:
-    """Scaled complement exp(z^2)*erfc(z); bounded for Re(z) >= 0."""
-    w = complex(_sp.erfcx(complex(z)))
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise ComplexOverflowError(f"erfcx({z!r}) overflows double precision")
-    return w
-
-
-def _convergence_failures(a: complex, b: complex, c: complex) -> list[str]:
-    failed = []
-    if not a.real > 0.0:
-        failed.append("Re(a) > 0")
-    if not c.real > 0.0:
-        failed.append("Re(c) > 0")
-    if failed:
-        # Ratio conditions are meaningless once a diagonal one fails.
-        return failed
-    if not (a - b * b / c).real > 0.0:
-        failed.append("Re(a - b^2/c) > 0")
-    if not (c - b * b / a).real > 0.0:
-        failed.append("Re(c - b^2/a) > 0")
-    return failed
-
-
-def quadrant_gaussian(a: complex, b: complex, c: complex, quadrant: str) -> complex:
-    """Bivariate Gaussian integral over one quadrant of the plane.
-
-    Computes the integral of exp(-(a x^2 + 2 b x y + c y^2)) over the
-    quadrant named by two sign letters (x sign then y sign), e.g. "PP" is
-    x > 0, y > 0 and "MP" is x < 0, y > 0. Closed form:
-
-        PP = MM = [pi/2 - arctan(b / sqrt(ac - b^2))] / (2 sqrt(ac - b^2))
-        MP = PM = [pi/2 + arctan(b / sqrt(ac - b^2))] / (2 sqrt(ac - b^2))
-
-    valid when Re(a) > 0, Re(c) > 0, Re(a - b^2/c) > 0 and
-    Re(c - b^2/a) > 0; violations raise QuadrantConditionError naming the
-    failed inequalities. The four quadrants sum to the full-plane value
-    pi / sqrt(ac - b^2).
-    """
-    if quadrant not in _QUADRANTS:
-        raise ValueError(f"quadrant must be one of {_QUADRANTS}, got {quadrant!r}")
-    a, b, c = complex(a), complex(b), complex(c)
-    failed = _convergence_failures(a, b, c)
-    if failed:
-        raise QuadrantConditionError(failed)
-    root = principal_sqrt(a * c - b * b)
-    angle = principal_arctan(b / root)
-    if quadrant in ("PP", "MM"):
-        return (math.pi / 2.0 - angle) / (2.0 * root)
-    return (math.pi / 2.0 + angle) / (2.0 * root)

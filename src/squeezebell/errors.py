@@ -17,29 +17,7 @@ class BranchPoleError(SqueezeBellError):
 
 
 class ComplexOverflowError(SqueezeBellError):
-    """A scaled special-function evaluation left the double-precision range."""
-
-
-class QuadrantConditionError(SqueezeBellError):
-    """Quadrant Gaussian integral preconditions violated.
-
-    Carries the list of failed inequalities so error messages can name them.
-    """
-
-    def __init__(self, failed: list[str]):
-        self.failed = list(failed)
-        super().__init__(
-            "quadrant Gaussian integral does not converge; failed conditions: "
-            + "; ".join(self.failed)
-        )
-
-
-class SingularCoefficientError(SqueezeBellError):
-    """Wavefunction coefficient denominator vanishes (phase-degenerate state)."""
-
-
-class SingularLocusError(SqueezeBellError):
-    """Infinite-squeezing closed form evaluated on its singular locus."""
+    """A quadratic form or a scaled special function left the double-precision range."""
 
 
 class DegenerateKernelError(SqueezeBellError):

@@ -12,14 +12,15 @@ bands of width ell. Five evaluation routes are provided:
   survive; quadrant Gaussian closed forms).
 - ``large-squeeze``: infinite-squeezing limit, a pure function of the
   angles.
-- ``equal-time``: direct cell quadrature of the squared wavefunction for a
-  coincident pair, where the two-time kernel degenerates.
+- ``equal-time``: signed cell sum of the one snapshot's density for a
+  coincident pair, where the two-time kernel degenerates; the density's
+  decay rates come from ``kernel.coincident_rates``.
 
 ``auto`` dispatches on bin width relative to the squeezing scale e^r.
 
 Degeneracy is decided once, by ``kernel.is_coincident`` on the folded
 pair: a coincident pair goes to the equal-time path (``auto``) or the
-wide-bin arcsin limit (``large-ell``), and every method that needs Xi
+wide-bin equal-time limit (``large-ell``), and every method that needs Xi
 refuses it with DegenerateKernelError. Everything else is evaluated at the
 angle difference it was given. The kernel determinant also vanishes on a
 hypersurface of non-coincident pairs, but Xi is continuous there (see
@@ -49,6 +50,7 @@ from .complexfn import principal_arctan, principal_sqrt
 from .errors import ComplexOverflowError, MaxBandsExceededError, NonConvergentXiError
 from .kernel import (
     XiMatrix,
+    coincident_rates,
     is_coincident,
     large_squeeze_zeta,
     series_prefactor,
@@ -56,7 +58,7 @@ from .kernel import (
     xi_matrix,
 )
 from .quadrature import adaptive_1d, geometric_panels
-from .state import SqueezeParams, TransitionSpec, coeff_A, coeff_B, normalization
+from .state import SqueezeParams, TransitionSpec
 
 __all__ = [
     "EvaluationSettings",
@@ -111,7 +113,7 @@ class CorrelatorResult:
 
     ``degenerate_path`` marks values of a coincident pair, which ``auto``
     delegates to the equal-time path and ``large-ell`` to the wide-bin
-    arcsin limit; ``notes`` carries the human-readable detail.
+    equal-time limit; ``notes`` carries the human-readable detail.
     """
 
     value: float
@@ -332,24 +334,24 @@ def correlator_small_ell(spec: TransitionSpec, ell: float) -> CorrelatorResult:
 
 
 def _sign_operator_equal_time(params: SqueezeParams) -> float:
-    """ell -> infinity equal-time limit: E = (2/pi) arcsin(rho).
+    """ell -> infinity equal-time limit: E = (2/pi) arctan(p / sqrt(det)).
 
-    In that limit the binned observable reduces to sign(q) and |psi|^2 is a
-    centered bivariate normal with quadrature correlation rho = -br/ar.
+    In that limit the binned observable reduces to sign(q), and the
+    quadrant masses of the centred density give E = (2/pi) arcsin(p / c),
+    which is the arctangent above. In the decay rates of
+    ``kernel.coincident_rates``, p / sqrt(det) = (t - 1/t) / 2 with
+    t = sqrt(lam_v / lam_u).
     """
-    A = coeff_A(params.r, params.varphi)
-    B = coeff_B(params.r, params.varphi)
-    ar, br = -A.real, -B.real
-    if ar <= abs(br):
-        raise NonConvergentXiError("squared wavefunction is not normalizable")
-    return (2.0 / math.pi) * math.asin(-br / ar)
+    lam_u, lam_v = coincident_rates(params.r, params.varphi)
+    t = math.sqrt(lam_v) / math.sqrt(lam_u)
+    return (2.0 / math.pi) * math.atan(0.5 * (t - 1.0 / t))
 
 
 def correlator_large_ell(spec: TransitionSpec) -> CorrelatorResult:
     """Wide-bin closed form; the bin width drops out entirely.
 
     Coincident pairs, where the two-time kernel degenerates, are routed to
-    the wide-bin equal-time limit (2/pi) arcsin(rho) instead.
+    the wide-bin equal-time limit (2/pi) arctan(p / sqrt(det)) instead.
     """
     spec, parity = _parity_reduce(spec)
     if is_coincident(spec):
@@ -391,29 +393,27 @@ def _equal_time_cells(params: SqueezeParams, ell: float) -> tuple[float, float, 
     """Signed cell sum of |psi|^2 over the sign-bin checkerboard.
 
     |psi|^2 is a centered bivariate Gaussian that factorizes exactly in the
-    rotated coordinates u = (q1+q2)/sqrt(2), v = (q1-q2)/sqrt(2), with decay
-    rates lam_u = ar+br and lam_v = ar-br. The checkerboard sign
-    (-1)^{floor(q1/ell)+floor(q2/ell)} is piecewise constant in u at fixed
-    v, so the u-integral is an exact erf segment sum over the lattice-line
-    crossings; only the v-direction is integrated numerically. This stays
+    rotated coordinates u = (q1+q2)/sqrt(2), v = (q1-q2)/sqrt(2), with the
+    decay rates lam_u, lam_v of ``kernel.coincident_rates``. The
+    checkerboard sign (-1)^{floor(q1/ell)+floor(q2/ell)} is piecewise
+    constant in u at fixed v, so the u-integral is an exact erf segment sum
+    over the lattice-line crossings; only the v-direction is integrated
+    numerically, across the narrower axis. The reflection q2 -> -q2 swaps
+    u and v and flips the checkerboard sign, so where u is the narrower
+    axis the same sum runs on the swapped rates and is negated. This stays
     exact for arbitrarily squeezed states, where the density ridge is a
     diagonal sliver of width e^{-r} that a checkerboard-aligned quadrature
     cannot resolve affordably.
     """
-    A = coeff_A(params.r, params.varphi)
-    B = coeff_B(params.r, params.varphi)
-    n2 = abs(normalization(params)) ** 2
-    ar, br = -A.real, -B.real
-    lam_u = ar + br
-    lam_v = ar - br
-    if min(lam_u, lam_v) <= 0.0:
-        raise NonConvergentXiError("squared wavefunction is not normalizable")
+    lam_u, lam_v = coincident_rates(params.r, params.varphi)
+    sign = 1.0
+    if lam_u > lam_v:
+        lam_u, lam_v, sign = lam_v, lam_u, -1.0
     # Lattice lines q = n ell map to u = c n -/+ v with c = sqrt(2) ell.
     c = math.sqrt(2.0) * ell
-    su = math.sqrt(lam_u)
+    su, sv = math.sqrt(lam_u), math.sqrt(lam_v)
     u_max = 13.0 / su
-    v_max = 13.0 / math.sqrt(lam_v)
-    half_width = math.sqrt(math.pi) / (2.0 * su)
+    v_max = 13.0 / sv
     n_lines = int(2.0 * (u_max + v_max) / c) + 2
     if n_lines > 20_000_000:
         raise MaxBandsExceededError(
@@ -422,6 +422,7 @@ def _equal_time_cells(params: SqueezeParams, ell: float) -> tuple[float, float, 
         )
 
     def signed_mass(v: float) -> float:
+        # Twice the signed mass of the normalized u-density at this v.
         # Breakpoints where (u+v)/sqrt(2) or (u-v)/sqrt(2) crosses n ell.
         k0 = math.floor((-u_max - abs(v)) / c)
         k1 = math.ceil((u_max + abs(v)) / c)
@@ -433,18 +434,17 @@ def _equal_time_cells(params: SqueezeParams, ell: float) -> tuple[float, float, 
         par = np.floor((mids + v) / c) + np.floor((mids - v) / c)
         sgn = np.where(np.mod(par, 2.0) == 0.0, 1.0, -1.0)
         er = _sp.erf(su * edges)
-        return half_width * float(np.sum(sgn * (er[1:] - er[:-1])))
+        return float(np.sum(sgn * (er[1:] - er[:-1])))
 
     def integrand(v: np.ndarray) -> np.ndarray:
-        return np.exp(-lam_v * v * v) * np.array([signed_mass(float(t)) for t in v])
+        # Even in v, so v >= 0 carries half of the normalized v-density.
+        density = (sv / math.sqrt(math.pi)) * np.exp(-lam_v * v * v)
+        return density * np.array([signed_mass(float(t)) for t in v])
 
     # Kinks where breakpoint families collide: v a multiple of c/2.
     kinks = np.arange(0.0, v_max, 0.5 * c)[1:]
-    total, err = adaptive_1d(
-        integrand, 0.0, v_max,
-        rel_tol=1e-11, abs_tol=1e-15, breakpoints=list(kinks),
-    )
-    return float(2.0 * n2 * total.real), 2.0 * n2 * err, n_lines
+    total, err = adaptive_1d(integrand, 0.0, v_max, rel_tol=1e-11, breakpoints=list(kinks))
+    return float(sign * total.real), err, n_lines
 
 
 def correlator_equal_time(params: SqueezeParams, ell: float) -> CorrelatorResult:

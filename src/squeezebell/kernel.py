@@ -27,9 +27,10 @@ the determinant
 
 whose real part is a sum of nonnegative terms, at least 1. Only p adds
 two terms that can cancel, and that costs accuracy only near the
-r -> infinity singular locus chi = 0 of xi_matrix_large_squeeze, where
-Xi is ill-conditioned in its input angles anyway. So double precision
-holds at every squeezing and there is no extended-precision path.
+r -> infinity maximal-correlation locus zeta^2 = 4 (``large_squeeze_zeta``),
+where Xi is ill-conditioned in its input angles anyway. So double
+precision holds at every squeezing and there is no extended-precision
+path.
 
 Degeneracy: the 12x12 system determinant factors as
 f_M = -4 e^{2i dtheta} g_s g_c with two real factors g_s and g_c, each a
@@ -42,6 +43,17 @@ angle, up to the half-turn parity image): the two-time kernel collapses
 to a delta sheet that no Gaussian form describes. ``xi_matrix`` refuses
 exactly that pair, through ``is_coincident``, with DegenerateKernelError;
 routing it to the equal-time path is the evaluator layer's job.
+
+Equal time: at r_a = r_b = r, phi_a = phi_b = phi, dtheta = 0 the same
+closed form has p = cos(2 phi) sinh 2r and det = 1 + (sin(2 phi) sinh 2r)^2
+= c^2 - p^2 for c = cosh 2r, and the snapshot's density factorizes in
+u = (q1 + q2)/sqrt 2 and v = (q1 - q2)/sqrt 2:
+
+    |psi|^2 = exp(-u^2/(c + p) - v^2/(c - p)) / (pi sqrt det),
+
+where c +- p = e^{-2r} + 2 cos^2(phi) sinh 2r and e^{-2r} + 2 sin^2(phi)
+sinh 2r are sums of nonnegative terms. ``coincident_rates`` returns the
+two decay rates.
 """
 
 from __future__ import annotations
@@ -51,16 +63,15 @@ import math
 from dataclasses import dataclass
 
 from .complexfn import principal_sqrt
-from .errors import ComplexOverflowError, DegenerateKernelError, SingularLocusError
+from .errors import ComplexOverflowError, DegenerateKernelError
 from .state import TransitionSpec
 
 __all__ = [
     "XiMatrix",
     "is_coincident",
     "xi_matrix",
-    "xi_matrix_large_squeeze",
+    "coincident_rates",
     "large_squeeze_zeta",
-    "amplitude_constant",
     "xi_determinant",
     "series_prefactor",
 ]
@@ -85,10 +96,11 @@ def is_coincident(spec: TransitionSpec) -> bool:
     """True when both snapshots are the same physical state at the same angle.
 
     Identity is taken modulo the exact symmetries: varphi modulo pi (the
-    wavefunction depends on e^{-2i varphi} squared terms only through
-    tanh^2), varphi irrelevant at r = 0, and the angle difference modulo
-    pi, since a half turn only reflects the quadrature (Q -> -Q) and its
-    kernel collapses the same way.
+    density depends on varphi only through cos^2 varphi and sin^2 varphi,
+    see ``coincident_rates``), varphi irrelevant at r = 0, where
+    sinh 2r = 0, and the angle difference modulo pi, since a half turn
+    only reflects the quadrature (Q -> -Q) and its kernel collapses the
+    same way.
     """
     a, b = spec.a, spec.b
     if a.r != b.r:
@@ -131,6 +143,23 @@ def xi_matrix(spec: TransitionSpec) -> XiMatrix:
         )
     f = 2.0 / det
     return XiMatrix(-f * ch_a, -f * ch_b, f * p)
+
+
+def coincident_rates(r: float, varphi: float) -> tuple[float, float]:
+    """Decay rates (1/(c + p), 1/(c - p)) of the snapshot's density in u and v.
+
+    Their product is 1/det. Where sinh 2r or a rate leaves double precision,
+    past r ~ 355, this raises ComplexOverflowError, as ``xi_matrix`` does.
+    """
+    try:
+        sh = math.sinh(2.0 * r)
+        lam_u = 1.0 / (math.exp(-2.0 * r) + 2.0 * math.cos(varphi) ** 2 * sh)
+        lam_v = 1.0 / (math.exp(-2.0 * r) + 2.0 * math.sin(varphi) ** 2 * sh)
+    except OverflowError:
+        lam_u = lam_v = math.inf
+    if not (0.0 < lam_u < math.inf and 0.0 < lam_v < math.inf):
+        raise ComplexOverflowError(f"equal-time density leaves double precision at r = {r:g}")
+    return lam_u, lam_v
 
 
 def _xi_extended(
@@ -212,39 +241,6 @@ def large_squeeze_zeta(phi_a: float, phi_b: float, dtheta: float) -> complex:
     The one angle combination that survives infinite squeezing.
     """
     return cmath.exp(1j * dtheta) * (cmath.exp(2j * phi_a) + cmath.exp(-2j * phi_b))
-
-
-def xi_matrix_large_squeeze(spec: TransitionSpec) -> XiMatrix:
-    """Leading large-squeezing asymptote of the reduced quadratic form.
-
-    With u = e^{-r} per side and chi = (4 - zeta^2) / 8:
-
-        xi11 ~ -2 u_b^2 / chi,   xi22 ~ -2 u_a^2 / chi,
-        xi12 ~ zeta u_a u_b / chi.
-
-    Re(chi) >= 0 always; the form degenerates on the locus chi = 0.
-    """
-    ua = math.exp(-spec.a.r)
-    ub = math.exp(-spec.b.r)
-    zeta = large_squeeze_zeta(spec.a.varphi, spec.b.varphi, spec.delta_theta)
-    chi = (4.0 - zeta * zeta) / 8.0
-    if abs(chi) < 1e-14:
-        raise SingularLocusError(
-            "large-squeezing quadratic form singular: |4 - zeta^2| < 8e-14 "
-            "(maximal-correlation locus)"
-        )
-    return XiMatrix(-2.0 * ub * ub / chi, -2.0 * ua * ua / chi, zeta * ua * ub / chi)
-
-
-def amplitude_constant(xi: XiMatrix) -> complex:
-    """Cell-sum prefactor sqrt(det Xi) / (4 pi^2) of the reduced expectation.
-
-    Expects a converged form, under which det Xi stays clear of the
-    negative real axis and the principal square root is the right branch
-    (the two quadratic-form eigenvalues sit in the left half-plane, so the
-    phase of their product never wraps).
-    """
-    return principal_sqrt(xi_determinant(xi)) / (4.0 * math.pi**2)
 
 
 def xi_determinant(xi: XiMatrix) -> complex:

@@ -1,33 +1,20 @@
-"""Two-mode squeezed state: parameters, wavefunction, Fock data.
+"""Two-mode squeezed state parameters.
 
 The state is parametrized by a squeezing magnitude r >= 0 and two angles:
 ``varphi`` (the squeezing phase, which sets the quadrature orientation) and
 ``theta`` (the rotation angle of the mode pair, which only enters two-time
 quantities through differences). Angles are kept exactly as given; no range
 reduction is applied anywhere, so caller-supplied values round-trip
-bit-identically into every formula.
+bit-identically into every formula. How the squeezed Gaussian depends on
+these parameters is the business of ``kernel`` alone.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import SingularCoefficientError
-
-__all__ = [
-    "SqueezeParams",
-    "TransitionSpec",
-    "coeff_A",
-    "coeff_B",
-    "normalization",
-    "wavefunction",
-    "fock_amplitude",
-    "fock_truncation",
-]
+__all__ = ["SqueezeParams", "TransitionSpec"]
 
 
 @dataclass(frozen=True)
@@ -70,91 +57,3 @@ class TransitionSpec:
 
     def swapped(self) -> "TransitionSpec":
         return TransitionSpec(a=self.b, b=self.a)
-
-
-def _denominator(r: float, varphi: float) -> complex:
-    t = math.tanh(r)
-    return 1.0 - cmath.exp(-4j * varphi) * t * t
-
-
-def coeff_A(r: float, varphi: float) -> complex:
-    """Diagonal quadratic coefficient of the pair wavefunction exponent.
-
-    A = -(1 + e^{-4i varphi} tanh^2 r) / (1 - e^{-4i varphi} tanh^2 r);
-    Re(A) < 0 for finite r. The denominator vanishes only in the joint
-    limit tanh r -> 1 with 4*varphi a multiple of 2*pi, where the state
-    degenerates; that is reported instead of returning infinities.
-    """
-    den = _denominator(r, varphi)
-    if abs(den) < 1e-300:
-        raise SingularCoefficientError(
-            f"wavefunction coefficient singular at r={r}, varphi={varphi}: "
-            "|1 - e^(-4i varphi) tanh^2 r| < 1e-300"
-        )
-    t = math.tanh(r)
-    return -(1.0 + cmath.exp(-4j * varphi) * t * t) / den
-
-
-def coeff_B(r: float, varphi: float) -> complex:
-    """Cross quadratic coefficient of the pair wavefunction exponent.
-
-    B = 2 e^{-2i varphi} tanh r / (1 - e^{-4i varphi} tanh^2 r).
-    """
-    den = _denominator(r, varphi)
-    if abs(den) < 1e-300:
-        raise SingularCoefficientError(
-            f"wavefunction coefficient singular at r={r}, varphi={varphi}: "
-            "|1 - e^(-4i varphi) tanh^2 r| < 1e-300"
-        )
-    return 2.0 * cmath.exp(-2j * varphi) * math.tanh(r) / den
-
-
-def normalization(params: SqueezeParams) -> complex:
-    """Gaussian prefactor 1 / (cosh r * sqrt(pi) * sqrt(1 - e^{-4i varphi} tanh^2 r)).
-
-    The square-root argument always has positive real part, so the
-    principal branch is taken without further bookkeeping.
-    """
-    den = _denominator(params.r, params.varphi)
-    if abs(den) < 1e-300:
-        raise SingularCoefficientError(
-            f"normalization singular at r={params.r}, varphi={params.varphi}"
-        )
-    return 1.0 / (math.cosh(params.r) * math.sqrt(math.pi) * cmath.sqrt(den))
-
-
-def wavefunction(params: SqueezeParams, q1, q2) -> np.ndarray:
-    """Position wavefunction of the pair, vectorized over quadrature grids.
-
-    psi(q1, q2) = N * exp(A/2 * (q1^2 + q2^2) + B * q1 * q2). The rotation
-    angle theta does not appear: the vacuum is rotation invariant, so at
-    equal times the wavefunction depends on r and varphi only.
-    """
-    A = coeff_A(params.r, params.varphi)
-    B = coeff_B(params.r, params.varphi)
-    N = normalization(params)
-    q1 = np.asarray(q1)
-    q2 = np.asarray(q2)
-    return N * np.exp(0.5 * A * (q1 * q1 + q2 * q2) + B * q1 * q2)
-
-
-def fock_amplitude(params: SqueezeParams, n: int) -> complex:
-    """Amplitude of the |n, n> component: e^{-2 i n varphi} tanh^n r / cosh r."""
-    if n < 0:
-        raise ValueError(f"Fock index must be >= 0, got {n}")
-    return cmath.exp(-2j * n * params.varphi) * math.tanh(params.r) ** n / math.cosh(params.r)
-
-
-def fock_truncation(r: float, tol: float = 1e-14) -> int:
-    """Smallest N whose pair-number weight tanh(r)^{2N} drops below tol.
-
-    Summing amplitudes up to (excluding) N keeps the discarded probability
-    below tol / (1 - tanh^2 r); for r = 0 only the vacuum term survives.
-    """
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must be in (0, 1)")
-    t = math.tanh(r)
-    if t == 0.0:
-        return 1
-    n = math.log(tol) / (2.0 * math.log(t))
-    return max(1, math.ceil(n))

@@ -16,12 +16,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from kernel_blocks import convergence_conditions, passive_block_determinant
+from reference_forms import QuadrantConditionError, quadrant_gaussian
 from squeezebell.bell import BellConfig, SweepGrid, find_max, sweep_map
-from squeezebell.complexfn import (
-    QuadrantConditionError,
-    principal_sqrt,
-    quadrant_gaussian,
-)
+from squeezebell.complexfn import principal_sqrt
 from squeezebell.errors import DegenerateKernelError, SqueezeBellError
 from squeezebell.evaluators import (
     EvaluationSettings,

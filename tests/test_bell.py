@@ -1,5 +1,6 @@
 """CHSH assembly, parameter sweeps, and maximum refinement."""
 
+import hashlib
 import math
 import multiprocessing
 import re
@@ -357,26 +358,66 @@ class TestBenchmarkLayouts:
     linspace leaves legs at some nodes 4.4e-16 from coincidence. Those legs
     share the coincident key; every other node keeps its value, which the
     sums below pin (recorded before such legs were keyed as coincident).
+
+    The coincident leg E(a, b) is at every node. Its value moved when the
+    equal-time path began reading the kernel's closed form instead of the
+    tanh-parametrized wavefunction; every other key is bit-identical to
+    before, which the digest pins. The map before that change is rebuilt
+    from the same memo with the coincident value it had then, and each
+    node's change must be the signed sum of its coincident legs' changes.
     """
 
     CASES = [
-        # n, method, unique keys, rounding nodes, sum over the other nodes,
-        # grid maximum and its node, refined maximum, refinement evaluations
-        (61, "auto", 161, 27, 3703.6017480738537,
-         (2.0878084157022494, 1, 2), 2.1802957010355835, 94),
-        (241, "large-ell", 702, 125, 58008.6466171903,
-         (1.9998843900293153, 86, 120), 1.9998843900293153, 56),
+        # n, method, unique keys, rounding nodes, digest of the non-coincident
+        # memo entries, coincident value before and now, sum over the other
+        # nodes before and now, grid maximum and its node, refined maximum,
+        # refinement evaluations
+        (61, "auto", 161, 27, "ee11c67087cfe165d0b85af3f687d97baf4987ac9d655b40a6b9b9b64e79aa39",
+         (0.999892480581494, 0.9998924738306026), (3703.6017480738537, 3703.601723068552),
+         (2.087808408951358, 1, 2), 2.180295694284692, 94),
+        (241, "large-ell", 702, 125, "c3d61e0a98ff2dba4bdb7a73583461e85085aacd7fc31bc2023b2a59f6d1d337",
+         (0.9999421950146574, 0.999942195014138), (58008.6466171903, 58008.64661716017),
+         (1.9998843900282766, 240, 8), 1.9998843900282766, 71),
     ]
 
-    @pytest.mark.parametrize("n, method, keys, rounding, other_sum, grid_max, refined, evals", CASES)
-    def test_map_and_refinement(self, n, method, keys, rounding, other_sum, grid_max, refined, evals):
+    @pytest.mark.parametrize(
+        "n, method, keys, rounding, digest, coincident, other_sums, grid_max, refined, evals",
+        CASES,
+        ids=["61-auto", "241-large-ell"],
+    )
+    def test_map_and_refinement(
+        self, n, method, keys, rounding, digest, coincident, other_sums, grid_max, refined, evals
+    ):
         grid = _layout_grid(n, method)
         sweep = sweep_map(grid, workers=2)
         assert len(sweep.table) == keys
         assert all(k[4] == 0.0 or abs(k[4]) > 1e-14 for k in sweep.table)
         mask = _rounding_nodes(grid, sweep)
         assert int(mask.sum()) == rounding
-        assert float(np.sum(sweep.values[~mask])) == pytest.approx(other_sum, abs=1e-9)
+
+        others = sorted(item for item in sweep.table.items() if item[0][4] != 0.0)
+        assert hashlib.sha256(repr(others).encode()).hexdigest() == digest
+        (key,) = [k for k in sweep.table if k[4] == 0.0]
+        before, now = coincident
+        assert sweep.table[key][0] == now
+        table_before = {**sweep.table, key: (before, *sweep.table[key][1:])}
+
+        legs, slots, signs = bell._gather(
+            bell._node_keys(grid, float(xv), float(yv)) for xv in sweep.x for yv in sweep.y
+        )
+
+        def assemble(table):
+            values = [table[k][0] for k in legs]
+            return bell._node_values(values, slots, signs).reshape(sweep.values.shape)
+
+        assert np.array_equal(assemble(sweep.table), sweep.values)
+        map_before = assemble(table_before)
+        on_key = np.array([k == key for k in legs])[slots]
+        legs_moved = ((on_key * signs) @ np.array(bell._CHSH_SIGNS)).reshape(sweep.values.shape)
+        assert np.max(np.abs(sweep.values - map_before - legs_moved * (now - before))) <= 1e-15
+        for values, pinned in zip((map_before, sweep.values), other_sums):
+            assert float(np.sum(values[~mask])) == pytest.approx(pinned, abs=1e-9)
+
         assert sweep.max_node() == grid_max
         best = find_max(grid, sweep, workers=2)
         assert (best.value, best.n_evaluations) == (refined, evals)

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
+from scipy import integrate, special
 
 from kernel_blocks import DETERMINANT_ROOTS
+from reference_forms import coeff_A, coeff_B, fock_amplitude, normalization
+from squeezebell import cli
+from squeezebell.bell import evaluate
 from squeezebell.errors import (
     ComplexOverflowError,
     DegenerateKernelError,
@@ -28,9 +32,9 @@ from squeezebell.evaluators import (
     wide_bin_value,
     _sign_operator_equal_time,
 )
-from squeezebell.kernel import XiMatrix, xi_matrix
+from squeezebell.kernel import XiMatrix, coincident_rates
 from squeezebell.oracle import correlator_quadrature
-from squeezebell.state import SqueezeParams, TransitionSpec, fock_amplitude
+from squeezebell.state import SqueezeParams, TransitionSpec
 
 angle_draw = st.floats(min_value=-math.pi, max_value=math.pi)
 
@@ -114,6 +118,104 @@ class TestEqualTime:
     def test_invalid_ell_rejected(self, bad):
         with pytest.raises(ValueError):
             correlator_equal_time(SqueezeParams(1.0), bad)
+
+
+def _conditional_normal_equal_time(r: float, phi: float, ell: float) -> float:
+    """Independent equal-time route from c = cosh 2r, p and det alone.
+
+    |psi|^2 is a centred bivariate normal with Var q1 = Var q2 = c/2 and
+    Cov = p/2, for p = cos(2 phi) sinh 2r and det = c^2 - p^2 =
+    1 + (sin(2 phi) sinh 2r)^2. q1 is integrated band by band, and the
+    checkerboard sum over q2 is closed-form from the conditional normal
+    q2 | q1 = x, of mean (p/c) x and variance det / (2c).
+    """
+    c = math.cosh(2.0 * r)
+    p = math.cos(2.0 * phi) * math.sinh(2.0 * r)
+    det = 1.0 + (math.sin(2.0 * phi) * math.sinh(2.0 * r)) ** 2
+    sigma = math.sqrt(0.5 * c)
+    slope = p / c
+    s_cond = math.sqrt(0.5 * det / c)
+
+    def inner(x: float) -> float:
+        mu = slope * x
+        m = np.arange(math.floor((mu - 12.0 * s_cond) / ell) - 1, math.ceil((mu + 12.0 * s_cond) / ell) + 2)
+        cells = np.diff(special.ndtr((m * ell - mu) / s_cond))
+        return float(np.sum(np.where(m[:-1] % 2 == 0, 1.0, -1.0) * cells))
+
+    def weighted(x: float) -> float:
+        return math.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi)) * inner(x)
+
+    # inner() steps, over a width s_cond / |slope| in x, where the
+    # conditional mean crosses a lattice line; each step gets breakpoints
+    # at a ladder of widths around it, also when it lies just past a band.
+    width = s_cond / abs(slope) if slope != 0.0 else math.inf
+    ladder = np.array([-16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
+    total = 0.0
+    reach = 12.0 * sigma
+    for n in range(math.floor(-reach / ell), math.ceil(reach / ell)):
+        lo, hi = n * ell, (n + 1) * ell
+        points = []
+        if math.isfinite(width):
+            k_lo, k_hi = sorted((slope * (lo - 16.0 * width) / ell, slope * (hi + 16.0 * width) / ell))
+            for k in range(math.ceil(k_lo), math.floor(k_hi) + 1):
+                points.extend(x for x in k * ell / slope + width * ladder if lo < x < hi)
+        val, _ = integrate.quad(
+            weighted, lo, hi, points=sorted(points) or None, limit=400, epsabs=1e-15, epsrel=1e-13
+        )
+        total += (1.0 if n % 2 == 0 else -1.0) * val
+    return total
+
+
+class TestDeepSqueezeCoincident:
+    """Coincident pairs read the kernel's closed form at every squeezing."""
+
+    @pytest.mark.parametrize("method", ["auto", "equal-time", "large-ell"])
+    @pytest.mark.parametrize("r", [6.0, 8.0, 9.0, 10.0, 15.0, 20.0])
+    def test_wide_bin_limit(self, method, r):
+        mode = SqueezeParams(r, 0.0)
+        res = evaluate(TransitionSpec(a=mode, b=mode), method, EvaluationSettings(ell=1000.0 * math.exp(r)))
+        assert abs(res.value - (2.0 / math.pi) * math.atan(math.sinh(2.0 * r))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "r, phi, ell", [(5.0, 0.0, 10.0), (5.0, 0.0, 100.0), (0.0, 0.0, 2.0), (1e-6, 0.0, 2.66)]
+    )
+    def test_against_conditional_normal(self, r, phi, ell):
+        # At r = 0 and 1e-6, E is 0 or about 1e-6, and the absolute
+        # tolerance of the cell quadrature decides when it stops.
+        value = correlator_equal_time(SqueezeParams(r, phi), ell).value
+        assert abs(value - _conditional_normal_equal_time(r, phi, ell)) <= 1e-12
+
+    @pytest.mark.parametrize("r, phi, ell", [(5.0, 0.0, 100.0), (1.3, 0.4, 1.1), (2.2, -0.3, 3.0)])
+    def test_quarter_turn_negates(self, r, phi, ell):
+        # q2 -> -q2 maps the state at phi onto the state at phi + pi/2 and
+        # flips the checkerboard sign.
+        base = correlator_equal_time(SqueezeParams(r, phi), ell).value
+        turned = correlator_equal_time(SqueezeParams(r, phi + math.pi / 2.0), ell).value
+        assert abs(turned + base) <= 1e-13
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3])
+    def test_beyond_double_range_refused(self, phi, capsys):
+        mode = SqueezeParams(400.0, phi)
+        spec = TransitionSpec(a=mode, b=mode)
+        with pytest.raises(ComplexOverflowError, match="leaves double precision"):
+            correlator_equal_time(mode, 1.0)
+        with pytest.raises(ComplexOverflowError, match="leaves double precision"):
+            correlator_large_ell(spec)
+        for method in ("auto", "large-ell"):
+            argv = ["correlator", "--ra", "400", f"--phia={phi}", "--ell", "1", "--method", method]
+            assert cli.run(argv) == 2
+            assert "ComplexOverflowError" in capsys.readouterr().err
+
+    @given(st.floats(min_value=0.0, max_value=3.0), angle_draw)
+    def test_rates_match_wavefunction_coefficients(self, r, phi):
+        # Where the tanh form is accurate, the rates are its exponent in the
+        # rotated coordinates and their product sets the normalization.
+        a, b = coeff_A(r, phi).real, coeff_B(r, phi).real
+        lam_u, lam_v = coincident_rates(r, phi)
+        assert abs(lam_u + (a + b)) <= 1e-13 * (abs(a) + abs(b))
+        assert abs(lam_v + (a - b)) <= 1e-13 * (abs(a) + abs(b))
+        n2 = abs(normalization(SqueezeParams(r, phi))) ** 2
+        assert math.sqrt(lam_u * lam_v) / math.pi == pytest.approx(n2, rel=1e-13)
 
 
 class TestNumeric:

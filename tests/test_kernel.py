@@ -15,7 +15,8 @@ from kernel_blocks import (
     kernel_determinant,
     passive_block_determinant,
 )
-from squeezebell.errors import ComplexOverflowError, DegenerateKernelError, SingularLocusError
+from squeezebell.complexfn import principal_sqrt
+from squeezebell.errors import ComplexOverflowError, DegenerateKernelError, SqueezeBellError
 from squeezebell.evaluators import (
     correlator_large_ell,
     correlator_large_ell_large_squeeze,
@@ -24,11 +25,10 @@ from squeezebell.evaluators import (
 from squeezebell.kernel import (
     XiMatrix,
     _xi_extended,
-    amplitude_constant,
+    large_squeeze_zeta,
     series_prefactor,
     xi_determinant,
     xi_matrix,
-    xi_matrix_large_squeeze,
 )
 from squeezebell.oracle import build_M
 from squeezebell.state import SqueezeParams, TransitionSpec
@@ -272,6 +272,43 @@ class TestDeepSqueeze:
         assert res.notes == () and not res.degenerate_path
         limit = correlator_large_ell_large_squeeze(0.0, 0.0, 0.5).value
         assert abs(res.value - limit) <= 1e-8
+
+
+class SingularLocusError(SqueezeBellError):
+    """Infinite-squeezing closed form evaluated on its singular locus."""
+
+
+def xi_matrix_large_squeeze(spec: TransitionSpec) -> XiMatrix:
+    """Leading large-squeezing asymptote of the reduced quadratic form.
+
+    With u = e^{-r} per side and chi = (4 - zeta^2) / 8:
+
+        xi11 ~ -2 u_b^2 / chi,   xi22 ~ -2 u_a^2 / chi,
+        xi12 ~ zeta u_a u_b / chi.
+
+    Re(chi) >= 0 always; the form degenerates on the locus chi = 0.
+    """
+    ua = math.exp(-spec.a.r)
+    ub = math.exp(-spec.b.r)
+    zeta = large_squeeze_zeta(spec.a.varphi, spec.b.varphi, spec.delta_theta)
+    chi = (4.0 - zeta * zeta) / 8.0
+    if abs(chi) < 1e-14:
+        raise SingularLocusError(
+            "large-squeezing quadratic form singular: |4 - zeta^2| < 8e-14 "
+            "(maximal-correlation locus)"
+        )
+    return XiMatrix(-2.0 * ub * ub / chi, -2.0 * ua * ua / chi, zeta * ua * ub / chi)
+
+
+def amplitude_constant(xi: XiMatrix) -> complex:
+    """Cell-sum prefactor sqrt(det Xi) / (4 pi^2) of the reduced expectation.
+
+    Expects a converged form, under which det Xi stays clear of the
+    negative real axis and the principal square root is the right branch
+    (the two quadratic-form eigenvalues sit in the left half-plane, so the
+    phase of their product never wraps).
+    """
+    return principal_sqrt(xi_determinant(xi)) / (4.0 * math.pi**2)
 
 
 class TestLargeSqueezeAsymptote:

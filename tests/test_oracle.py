@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from kernel_blocks import kernel_determinant
+from reference_forms import quadrant_gaussian
 import squeezebell.oracle as oracle_mod
-from squeezebell.complexfn import principal_sqrt, quadrant_gaussian
+from squeezebell.complexfn import principal_sqrt
 from squeezebell.errors import BudgetExceededError, DivergentSeriesError
 from squeezebell.evaluators import (
     EvaluationSettings,

@@ -1,4 +1,4 @@
-"""Squeezed-pair state parameters, wavefunction, and Fock data."""
+"""Squeezed-pair state parameters, and the reference wavefunction and Fock data."""
 
 import cmath
 import math
@@ -8,10 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from squeezebell.quadrature import adaptive_cells_2d
-from squeezebell.state import (
-    SqueezeParams,
-    TransitionSpec,
+from reference_forms import (
     coeff_A,
     coeff_B,
     fock_amplitude,
@@ -19,6 +16,8 @@ from squeezebell.state import (
     normalization,
     wavefunction,
 )
+from squeezebell.quadrature import adaptive_cells_2d
+from squeezebell.state import SqueezeParams, TransitionSpec
 
 r_values = st.floats(min_value=0.0, max_value=8.0)
 angles = st.floats(min_value=-10.0, max_value=10.0)
