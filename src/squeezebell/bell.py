@@ -12,11 +12,15 @@ and a sign, keys a memo lacks are evaluated once each through
 is deterministic and independent of the worker count. Refinement starts
 from the sweep's memo.
 
+Keys whose route is a closed form or the Poisson-dual series take
+microseconds each and always run in the calling process. Only quadrature
+keys, those of the band series, the equal-time path and ``oracle``, go to
+a worker pool, so a sweep made only of cheap keys never starts a process.
 Each ``sweep_map`` and each ``find_max`` call owns one ``WorkerPool``. Its
-process pool starts on the first batch of two or more keys and is shut
-down before the call returns; every later batch of the call, each
-refinement step included, reuses it. A batch runs serially when the pool
-has one worker or the batch has fewer than two keys.
+process pool starts on the first batch with two or more quadrature keys
+and is shut down before the call returns; every later batch of the call,
+each refinement step included, reuses it. Quadrature keys run serially
+when the pool has one worker or a batch has fewer than two of them.
 
 Per-node failures (degenerate kernels under a forced method,
 non-convergent quadratic forms) become NaN entries with a flag string;
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -40,12 +44,14 @@ from .evaluators import (
     EvaluationSettings,
     _parity_fold,
     _parity_reduce,
+    auto_method,
     correlator_auto,
     correlator_equal_time,
     correlator_large_ell,
     correlator_large_ell_large_squeeze,
     correlator_numeric,
     correlator_small_ell,
+    numeric_series,
 )
 from .kernel import is_coincident
 from .state import SqueezeParams, TransitionSpec
@@ -305,12 +311,15 @@ def evaluate(spec: TransitionSpec, method: str, settings: EvaluationSettings) ->
     return res if sign == 1.0 else replace(res, value=sign * res.value)
 
 
+def _key_spec(key: _Key) -> TransitionSpec:
+    ra, pa, rb, pb, dth, _ = key
+    return TransitionSpec(a=SqueezeParams(ra, pa, dth), b=SqueezeParams(rb, pb))
+
+
 def evaluate_key(key: _Key, method: str, settings: EvaluationSettings) -> tuple[float, str, str]:
     """Evaluate one correlator key by ``evaluate``; errors become (nan, method, flag)."""
-    ra, pa, rb, pb, dth, ell = key
-    spec = TransitionSpec(a=SqueezeParams(ra, pa, dth), b=SqueezeParams(rb, pb))
     try:
-        res = evaluate(spec, method, replace(settings, ell=ell))
+        res = evaluate(_key_spec(key), method, replace(settings, ell=key[5]))
     except SqueezeBellError as exc:
         return math.nan, method, f"{type(exc).__name__}: {exc}"
     return res.value, res.method, "; ".join(res.notes)
@@ -351,12 +360,33 @@ class WorkerPool:
 
     def map_keys(
         self, tasks: list[tuple[_Key, str, EvaluationSettings]]
-    ) -> list[tuple[float, str, str]]:
-        """``_evaluate_key_task`` over ``tasks`` on the pool, started here if not yet running."""
+    ) -> Iterator[tuple[float, str, str]]:
+        """Submit ``_evaluate_key_task`` over ``tasks`` to the pool, started here if not yet running.
+
+        Returns the results in task order as the pool delivers them.
+        """
         if self._executor is None:
             self._executor = ProcessPoolExecutor(max_workers=self.workers)
         chunk = max(1, len(tasks) // (self.workers * 8))
-        return list(self._executor.map(_evaluate_key_task, tasks, chunksize=chunk))
+        return self._executor.map(_evaluate_key_task, tasks, chunksize=chunk)
+
+
+def _is_quadrature(key: _Key, method: str) -> bool:
+    """True when the key's route is the band series, the equal-time path or ``oracle``.
+
+    The route is read with the rules the evaluators themselves apply
+    (``auto_method``, ``numeric_series``). A key those refuse is refused
+    again at once when evaluated, so it is not a quadrature.
+    """
+    spec = _key_spec(key)
+    try:
+        if method == "auto":
+            method = auto_method(spec, key[5])
+        if method == "numeric":
+            return numeric_series(spec, key[5]) == "band"
+    except SqueezeBellError:
+        return False
+    return method in ("equal-time", "oracle")
 
 
 def _evaluate_unique(
@@ -365,9 +395,20 @@ def _evaluate_unique(
     settings: EvaluationSettings,
     pool: WorkerPool,
 ) -> _Memo:
-    if pool.workers <= 1 or len(keys) < 2:
+    """Evaluate each key once: quadrature keys on the pool, every other key here.
+
+    The pool runs only with more than one worker and two or more
+    quadrature keys; this process evaluates its own keys while the pool
+    works on the rest.
+    """
+    pooled = [k for k in keys if _is_quadrature(k, method)] if pool.workers > 1 else []
+    if len(pooled) < 2:
         return {k: evaluate_key(k, method, settings) for k in keys}
-    return dict(zip(keys, pool.map_keys([(k, method, settings) for k in keys])))
+    running = pool.map_keys([(k, method, settings) for k in pooled])
+    sent = set(pooled)
+    table = {k: evaluate_key(k, method, settings) for k in keys if k not in sent}
+    table.update(zip(pooled, running))
+    return {k: table[k] for k in keys}
 
 
 def evaluate_keys(

@@ -118,7 +118,7 @@ def _build_parser() -> _Parser:
     e.add_argument("--method", dest="method", choices=tuple(METHODS), help="evaluator (default auto)")
     e.add_argument("--trunc-tol", dest="trunc_tol", type=float, help="band-series truncation tolerance")
     e.add_argument("--quad-tol", dest="quad_tol", type=float, help="per-band quadrature tolerance")
-    e.add_argument("--max-bands", dest="max_bands", type=int, help="band cap for the numeric series")
+    e.add_argument("--max-bands", dest="max_bands", type=int, help="band cap for the band series of --method numeric")
     o = common.add_argument_group("input/output")
     o.add_argument("--out", dest="out", help="write the result payload to this path instead of stdout")
     o.add_argument("--format", dest="format", choices=("csv", "json"), help="payload format (default csv)")
@@ -287,9 +287,10 @@ def _result_payload(res: CorrelatorResult, fmt: str) -> str:
         doc = {
             "value": float(f"{res.value:.12g}"),
             "method": res.method,
+            "series": res.series,
             "n_bands_used": res.n_bands_used,
             "series_terms_used": res.series_terms_used,
-            "quadrature_error_estimate": res.quadrature_error_estimate,
+            "error_estimate": res.error_estimate,
             "degenerate_path": res.degenerate_path,
             "notes": list(res.notes),
         }

@@ -1,13 +1,16 @@
-"""Correlator evaluators: band series, closed-form limits, equal-time.
+"""Correlator evaluators: two exact series, closed-form limits, equal-time.
 
 The two-time correlator of the sign-binned quadrature observable is, after
-kernel reduction, a double sum of Gaussian integrals over sign-alternating
-bands of width ell. Five evaluation routes are provided:
+kernel reduction, the checkerboard expectation of a two-variable Gaussian
+with the reduced quadratic form Xi. Five evaluation routes are provided:
 
-- ``numeric``: the resummed band series (erfc inner sum, adaptive outer
-  quadrature); reference-quality at any bin width where it converges.
-- ``small-ell``: closed-form narrow-bin asymptote (theta-function
-  resummation of the full lattice sum).
+- ``numeric``: an exact series, picked a priori by its cost. The band
+  series (erfc inner sum, adaptive outer quadrature) sums over bands of
+  width ell and is cheap for bins about as wide as the state, e^r, or
+  wider. Its Poisson (Jacobi theta) dual sums over the odd harmonics of
+  the square wave (-1)^floor(q/ell), reads only Xi^-1 and is cheap for
+  bins narrower than the state. Both are reference-quality.
+- ``small-ell``: narrow-bin asymptote, the dual series cut to one term.
 - ``large-ell``: closed-form wide-bin limit (only the four central cells
   survive; quadrant Gaussian closed forms).
 - ``large-squeeze``: infinite-squeezing limit, a pure function of the
@@ -16,7 +19,10 @@ bands of width ell. Five evaluation routes are provided:
   coincident pair, where the two-time kernel degenerates; the density's
   decay rates come from ``kernel.coincident_rates``.
 
-``auto`` dispatches on bin width relative to the squeezing scale e^r.
+``auto`` dispatches on bin width relative to the squeezing scale e^r
+(``auto_method``); ``numeric_series`` tells which series ``numeric`` runs,
+so a caller can tell the cheap keys from the quadratures before running
+any.
 
 Degeneracy is decided once, by ``kernel.is_coincident`` on the folded
 pair: a coincident pair goes to the equal-time path (``auto``) or the
@@ -41,6 +47,7 @@ coincidence takes the coincident route.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,12 +56,14 @@ import scipy.special as _sp
 from .complexfn import principal_arctan, principal_sqrt
 from .errors import ComplexOverflowError, MaxBandsExceededError, NonConvergentXiError
 from .kernel import (
+    XiInverse,
     XiMatrix,
     coincident_rates,
     is_coincident,
     large_squeeze_zeta,
     series_prefactor,
     xi_determinant,
+    xi_inverse,
     xi_matrix,
 )
 from .quadrature import adaptive_1d, geometric_panels
@@ -69,8 +78,10 @@ __all__ = [
     "correlator_large_ell_large_squeeze",
     "correlator_equal_time",
     "correlator_auto",
+    "auto_method",
+    "numeric_series",
     "band_series_value",
-    "narrow_bin_value",
+    "dual_series_value",
     "wide_bin_value",
     "require_converged",
 ]
@@ -79,6 +90,28 @@ __all__ = [
 # lag: the difference of two angles of size up to a few pi (a linspace
 # node, theta_a - theta_b) carries a few ulp(pi) of it.
 _FOLD_SNAP = 8.0 * math.ulp(math.pi)
+
+# The Poisson-dual series stops where the bound on its omitted terms falls
+# to this absolute level: |E| <= 1, so the truncation stays under the
+# rounding of the value itself.
+_DUAL_TAIL_TOL = 1e-16
+# Every omitted (k, l) term is at most (16/pi^2) e^{-a (k^2 + l^2)} / (k l).
+_PAIR_BOUND = 16.0 / math.pi**2
+
+# The a-priori rule by which ``correlator_numeric`` picks its series. The
+# band series takes about _BANDS_PER_WIDTH bands per state width
+# e^{max r} / ell, and never fewer than _MIN_BANDS (r = 0 ... 5,
+# ell = 0.1 ... 1e4). One band, two adaptive Gauss-Kronrod integrals over
+# blocks of erfcx, costs 0.3-3.7 ms and one (k, l) term of the dual series
+# about 60 ns (one core of an x86-64 guest); _PAIRS_PER_BAND sits at the
+# low end of that ratio, so the dual is taken only where it is clearly the
+# cheaper series.
+_BANDS_PER_WIDTH = 14.0
+_MIN_BANDS = 6.0
+_PAIRS_PER_BAND = 5000.0
+# The dual sum runs over blocks of at most this many (k, l) terms, so its
+# memory stays small at any truncation.
+_DUAL_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -111,16 +144,23 @@ class EvaluationSettings:
 class CorrelatorResult:
     """Correlator value plus an honest account of how it was obtained.
 
-    ``degenerate_path`` marks values of a coincident pair, which ``auto``
-    delegates to the equal-time path and ``large-ell`` to the wide-bin
-    equal-time limit; ``notes`` carries the human-readable detail.
+    ``series`` names the series that ran: "band" (``band_series_value``,
+    with its bands and inner erfc terms) or "dual" (``dual_series_value``,
+    with its odd terms per axis); closed forms and the equal-time path
+    leave it empty. ``error_estimate`` is the quadrature error estimate of
+    the band series and the equal-time path, and the bound on the omitted
+    terms of the dual series. ``degenerate_path`` marks values of a
+    coincident pair, which ``auto`` delegates to the equal-time path and
+    ``large-ell`` to the wide-bin equal-time limit; ``notes`` carries the
+    human-readable detail.
     """
 
     value: float
     method: str
+    series: str = ""
     n_bands_used: int = 0
     series_terms_used: int = 0
-    quadrature_error_estimate: float = 0.0
+    error_estimate: float = 0.0
     degenerate_path: bool = False
     notes: tuple[str, ...] = ()
 
@@ -282,35 +322,151 @@ def band_series_value(
     return value, 2 * k, terms_used, abs(pref) * quad_err
 
 
+def _dual_decay(inv: XiInverse, ell: float) -> float:
+    """a = kappa lambda_min, kappa = pi^2 / (4 ell^2): each dual term is at most e^{-a (k^2 + l^2)} / (k l).
+
+    lambda_min is the smaller eigenvalue of [[ch_b, |Re p|], [|Re p|, ch_a]],
+    its determinant gap + (Im p)^2 over the larger eigenvalue, so it carries
+    no cancellation.
+    """
+    half = math.pi / (2.0 * ell)
+    lam_max = 0.5 * (inv.ch_a + inv.ch_b) + math.hypot(0.5 * (inv.ch_a - inv.ch_b), inv.p.real)
+    return half * half * ((inv.gap + inv.p.imag * inv.p.imag) / lam_max)
+
+
+def _axis_tail(a: float, m: int) -> float:
+    """Bound on sum_{k odd >= m} e^{-a k^2} / k, from (m + 2j)^2 >= m^2 + 4 m j."""
+    return math.exp(-a * m * m) / (m * -math.expm1(-4.0 * a * m))
+
+
+def _dual_tail(a: float, n_odd: int, head: float) -> float:
+    """Bound on the (k, l) terms outside the first n_odd odd k and l.
+
+    With w_k = e^{-a k^2} / k, head the sum of w_k over the kept k and t
+    the tail of the rest, the omitted pairs sum to at most
+    (head + t)^2 - head^2.
+    """
+    t = _axis_tail(a, 2 * n_odd + 1)
+    return _PAIR_BOUND * t * (2.0 * head + t)
+
+
+def _dual_order(a: float, most: int) -> int | None:
+    """Fewest odd terms per axis, at most ``most``, whose omitted terms are under _DUAL_TAIL_TOL.
+
+    None when more than ``most`` are needed. Bisects on the bound with
+    1 + log(1 + 1/a) / 4, at least the sum of all w_k, for the head.
+    """
+    if not a > 0.0:
+        return None
+    head = 1.0 + 0.25 * math.log1p(1.0 / a)
+    if _dual_tail(a, most, head) > _DUAL_TAIL_TOL:
+        return None
+    lo, hi = -1, most
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _dual_tail(a, mid, head) <= _DUAL_TAIL_TOL:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def dual_series_value(
+    inv: XiInverse, ell: float, n_odd: int | None = None
+) -> tuple[float, int, float]:
+    """Poisson-dual (Jacobi theta transformed) series; returns (value, n_odd, tail bound).
+
+    The observable (-1)^floor(q/ell) is the square wave
+    (4/pi) sum_{k odd} sin(k pi q / ell) / k, and its Gaussian expectation
+    under Xi^-1 = -(1/2) [[ch_b, p], [p, ch_a]] is, with kappa = pi^2/(4 ell^2),
+
+        E = (8/pi^2) Re sum_{k,l odd >= 1} (1/(k l))
+              [e^{-kappa (k^2 ch_b + l^2 ch_a - 2 k l p)} - e^{-kappa (k^2 ch_b + l^2 ch_a + 2 k l p)}].
+
+    The real part of each exponent is read as
+    ch_b (k -+ rho l)^2 + eta l^2 with rho = Re p / ch_b and
+    eta = (ch_a ch_b - (Re p)^2) / ch_b, a sum of two nonnegative terms. It
+    converges fast for bins narrower than the state width e^r, where the
+    band series needs many bands. The first ``n_odd`` odd k and l are
+    summed; by default the fewest whose omitted terms are bounded by
+    _DUAL_TAIL_TOL, and the bound on the omitted terms is returned with
+    the value. The cost grows as n_odd^2.
+    """
+    a = _dual_decay(inv, ell)
+    if n_odd is None:
+        n_odd = _dual_order(a, sys.maxsize)
+        if n_odd is None:
+            raise NonConvergentXiError(f"dual series does not converge at ell = {ell:g}")
+    k = np.arange(1, 2 * n_odd, 2, dtype=float)
+    bound = _dual_tail(a, n_odd, float(np.sum(np.exp(-a * k * k) / k)))
+    # Every term is below e^{-2a}, which rounds to zero past this.
+    if n_odd == 0 or 2.0 * a > 746.0:
+        return 0.0, n_odd, bound
+    half = math.pi / (2.0 * ell)
+    kappa = half * half
+    rho_l = (inv.p.real / inv.ch_b) * k
+    eta_l = (kappa * (inv.gap + inv.p.imag * inv.p.imag) / inv.ch_b) * k * k
+    scale = kappa * inv.ch_b
+    turn = 2.0 * kappa * inv.p.imag
+    rows = max(1, _DUAL_BLOCK // len(k))
+    total = 0.0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for start in range(0, len(k), rows):
+            kk = k[start:start + rows, None]
+            minus = kk - rho_l
+            plus = kk + rho_l
+            diff = np.exp(-(scale * minus * minus + eta_l)) - np.exp(-(scale * plus * plus + eta_l))
+            kl = kk * k
+            total += float(np.sum(diff * np.cos(turn * kl) / kl))
+    value = (8.0 / math.pi**2) * total
+    if not math.isfinite(value):
+        raise ComplexOverflowError("dual series exponents leave double precision")
+    return value, n_odd, bound
+
+
+def _numeric_plan(spec: TransitionSpec, ell: float) -> tuple[XiInverse, int | None]:
+    """The kernel form, and the dual truncation ``correlator_numeric`` takes, or None for the band series.
+
+    The dual is taken when its n_odd^2 (k, l) terms are at most
+    _PAIRS_PER_BAND times the band series' a-priori band count
+    _MIN_BANDS + _BANDS_PER_WIDTH e^{max r} / ell.
+    """
+    inv = xi_inverse(spec)
+    bands = _MIN_BANDS + _BANDS_PER_WIDTH * math.exp(max(spec.a.r, spec.b.r)) / ell
+    most = math.isqrt(int(min(_PAIRS_PER_BAND * bands, 2.0**62)))
+    return inv, _dual_order(_dual_decay(inv, ell), most)
+
+
+def numeric_series(spec: TransitionSpec, ell: float) -> str:
+    """The series ``correlator_numeric`` runs for the pair: "dual" or "band"."""
+    return "band" if _numeric_plan(spec, ell)[1] is None else "dual"
+
+
 def correlator_numeric(spec: TransitionSpec, settings: EvaluationSettings) -> CorrelatorResult:
-    """Two-time correlator by the resummed band series (reference numeric path)."""
+    """Two-time correlator by an exact series: the Poisson-dual series or the band series.
+
+    ``_numeric_plan`` picks the cheaper one a priori; ``series`` names it.
+    """
     spec, parity = _parity_reduce(spec)
+    inv, n_odd = _numeric_plan(spec, settings.ell)
+    if n_odd is not None:
+        value, n_odd, bound = dual_series_value(inv, settings.ell, n_odd)
+        return CorrelatorResult(
+            value=parity * value,
+            method="numeric",
+            series="dual",
+            series_terms_used=n_odd,
+            error_estimate=bound,
+        )
     value, n_bands, n_terms, qerr = band_series_value(xi_matrix(spec), settings)
     return CorrelatorResult(
         value=parity * value,
         method="numeric",
+        series="band",
         n_bands_used=n_bands,
         series_terms_used=n_terms,
-        quadrature_error_estimate=qerr,
+        error_estimate=qerr,
     )
-
-
-def narrow_bin_value(xi: XiMatrix, ell: float) -> float:
-    """Closed-form narrow-bin asymptote of the band series.
-
-    E = (8/pi^2) Re(e^{p+} - e^{p-}) with
-    p+- = pi^2 (xi11 + xi22 +- 2 xi12) / (2 (xi11 xi22 - xi12^2) ell^2).
-    """
-    require_converged(xi)
-    det = xi_determinant(xi)
-    base = math.pi**2 / (2.0 * det * ell * ell)
-    p_plus = base * (xi.xi11 + xi.xi22 + 2.0 * xi.xi12)
-    p_minus = base * (xi.xi11 + xi.xi22 - 2.0 * xi.xi12)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (8.0 / math.pi**2) * (np.exp(p_plus) - np.exp(p_minus)).real
-    if not math.isfinite(out):
-        raise ComplexOverflowError("narrow-bin exponents overflow double precision")
-    return float(out)
 
 
 def wide_bin_value(xi: XiMatrix) -> float:
@@ -325,12 +481,22 @@ def wide_bin_value(xi: XiMatrix) -> float:
 
 
 def correlator_small_ell(spec: TransitionSpec, ell: float) -> CorrelatorResult:
-    """Narrow-bin closed form; accurate when ell is well under the state width e^r."""
+    """Narrow-bin form: the dual series cut to its k = l = 1 term.
+
+    Accurate when ell is well under the state width e^r; ``error_estimate``
+    bounds the omitted terms, led by the first of them, (1, 3) and (3, 1).
+    """
     if not (math.isfinite(ell) and ell > 0):
         raise ValueError(f"ell must be finite and > 0, got {ell!r}")
     spec, parity = _parity_reduce(spec)
-    value = narrow_bin_value(xi_matrix(spec), ell)
-    return CorrelatorResult(value=parity * value, method="small-ell")
+    value, n_odd, bound = dual_series_value(xi_inverse(spec), ell, 1)
+    return CorrelatorResult(
+        value=parity * value,
+        method="small-ell",
+        series="dual",
+        series_terms_used=n_odd,
+        error_estimate=bound,
+    )
 
 
 def _sign_operator_equal_time(params: SqueezeParams) -> float:
@@ -460,35 +626,44 @@ def correlator_equal_time(params: SqueezeParams, ell: float) -> CorrelatorResult
         value=value,
         method="equal-time",
         n_bands_used=n_used,
-        quadrature_error_estimate=err,
+        error_estimate=err,
     )
 
 
-def correlator_auto(spec: TransitionSpec, settings: EvaluationSettings) -> CorrelatorResult:
-    """Dispatch on degeneracy and bin-width regime.
+def auto_method(spec: TransitionSpec, ell: float) -> str:
+    """The method ``correlator_auto`` runs for the parity-folded pair.
 
-    Coincident pairs go to the equal-time path; otherwise the bin width
+    Coincident pairs take the equal-time path; otherwise the bin width
     against the squeezing scale e^r picks the narrow-bin form
-    (ell < 0.01 min e^r), the wide-bin form (ell > 100 max e^r) or the
-    numeric band series.
+    (ell < 0.01 min e^r), the wide-bin form (ell > 100 max e^r) or
+    ``numeric``.
     """
-    spec, parity = _parity_reduce(spec)
     if is_coincident(spec):
+        return "equal-time"
+    if ell < 0.01 * math.exp(min(spec.a.r, spec.b.r)):
+        return "small-ell"
+    if ell > 100.0 * math.exp(max(spec.a.r, spec.b.r)):
+        return "large-ell"
+    return "numeric"
+
+
+def correlator_auto(spec: TransitionSpec, settings: EvaluationSettings) -> CorrelatorResult:
+    """Dispatch on degeneracy and bin-width regime, by ``auto_method``."""
+    spec, parity = _parity_reduce(spec)
+    method = auto_method(spec, settings.ell)
+    if method == "equal-time":
         res = correlator_equal_time(spec.a, settings.ell)
         res = replace(
             res,
             degenerate_path=True,
             notes=res.notes + ("coincident pair: delegated to equal-time path",),
         )
+    elif method == "small-ell":
+        res = correlator_small_ell(spec, settings.ell)
+    elif method == "large-ell":
+        res = correlator_large_ell(spec)
     else:
-        ea = math.exp(spec.a.r)
-        eb = math.exp(spec.b.r)
-        if settings.ell < 0.01 * min(ea, eb):
-            res = correlator_small_ell(spec, settings.ell)
-        elif settings.ell > 100.0 * max(ea, eb):
-            res = correlator_large_ell(spec)
-        else:
-            res = correlator_numeric(spec, settings)
+        res = correlator_numeric(spec, settings)
     if parity == 1.0:
         return res
     return replace(res, value=parity * res.value)

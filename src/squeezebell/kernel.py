@@ -3,7 +3,7 @@
 The two-time expectation value reduces to a four-variable Gaussian over
 the two sign-binned quadratures and two passive ones. Integrating out the
 passive pair leaves a 2x2 complex quadratic form Xi; every evaluator
-downstream consumes only Xi.
+downstream consumes only Xi or its inverse (``xi_inverse``).
 
 With P and C the passive and cross 2x2 blocks of the four-variable form,
 Xi = P - C P^-1 C = 2 (S^-1 + M^-1)^-1 for S = P + C and M = P - C. Both
@@ -68,7 +68,9 @@ from .state import TransitionSpec
 
 __all__ = [
     "XiMatrix",
+    "XiInverse",
     "is_coincident",
+    "xi_inverse",
     "xi_matrix",
     "coincident_rates",
     "large_squeeze_zeta",
@@ -112,13 +114,26 @@ def is_coincident(spec: TransitionSpec) -> bool:
     return math.remainder(a.varphi - b.varphi, math.pi) == 0.0
 
 
-def xi_matrix(spec: TransitionSpec) -> XiMatrix:
-    """Reduce the 4x4 two-time quadratic form to the observable 2x2 block.
+@dataclass(frozen=True)
+class XiInverse:
+    """Xi^-1 = -(1/2) [[ch_b, p], [p, ch_a]], with ch_a = cosh 2r_a, ch_b = cosh 2r_b.
 
-    Xi = 2 (S^-1 + M^-1)^-1 in the closed form of the module docstring;
-    xi11 belongs to the later-argument (b) side and xi22 to the earlier (a)
-    side. A coincident pair raises DegenerateKernelError, and a form that
-    leaves double precision raises ComplexOverflowError.
+    ``gap`` = ch_a ch_b - |p|^2 = 1 + (sin(phi_a + phi_b) sinh(r_a + r_b))^2
+    + (cos(phi_a + phi_b) sinh(r_a - r_b))^2, a sum of nonnegative terms, so
+    every determinant built from it below carries no cancellation.
+    """
+
+    ch_a: float
+    ch_b: float
+    p: complex
+    gap: float
+
+
+def xi_inverse(spec: TransitionSpec) -> XiInverse:
+    """Xi^-1 in the closed form of the module docstring; no determinant is divided by.
+
+    A coincident pair raises DegenerateKernelError, and a form that leaves
+    double precision raises ComplexOverflowError.
     """
     if is_coincident(spec):
         raise DegenerateKernelError(
@@ -131,18 +146,34 @@ def xi_matrix(spec: TransitionSpec) -> XiMatrix:
         sh_sum, sh_diff = math.sinh(ra + rb), math.sinh(ra - rb)
         ch_a, ch_b = math.cosh(2.0 * ra), math.cosh(2.0 * rb)
         p = cmath.exp(1j * (spec.delta_theta + pa - pb)) * complex(c * sh_sum, s * sh_diff)
-        det = complex(
-            1.0 + (s * sh_sum) ** 2 + (c * sh_diff) ** 2 + 2.0 * p.imag**2,
-            -2.0 * p.real * p.imag,
-        )
+        gap = 1.0 + (s * sh_sum) ** 2 + (c * sh_diff) ** 2
+        finite = math.isfinite(gap + p.imag**2 + abs(p.real * p.imag))
     except OverflowError:
-        det = complex(math.inf)
-    if not (math.isfinite(det.real) and math.isfinite(det.imag)):
+        finite = False
+    if not finite:
         raise ComplexOverflowError(
             f"reduced quadratic form leaves double precision at r_a + r_b = {ra + rb:g}"
         )
+    return XiInverse(ch_a, ch_b, p, gap)
+
+
+def xi_matrix(spec: TransitionSpec) -> XiMatrix:
+    """Reduce the 4x4 two-time quadratic form to the observable 2x2 block.
+
+    Xi = 2 (S^-1 + M^-1)^-1, the inverse of ``xi_inverse``; xi11 belongs to
+    the later-argument (b) side and xi22 to the earlier (a) side. A
+    coincident pair raises DegenerateKernelError, and a form that leaves
+    double precision raises ComplexOverflowError.
+    """
+    inv = xi_inverse(spec)
+    p = inv.p
+    det = complex(inv.gap + 2.0 * p.imag**2, -2.0 * p.real * p.imag)
+    if not (math.isfinite(det.real) and math.isfinite(det.imag)):
+        raise ComplexOverflowError(
+            f"reduced quadratic form leaves double precision at r_a + r_b = {spec.a.r + spec.b.r:g}"
+        )
     f = 2.0 / det
-    return XiMatrix(-f * ch_a, -f * ch_b, f * p)
+    return XiMatrix(-f * inv.ch_a, -f * inv.ch_b, f * p)
 
 
 def coincident_rates(r: float, varphi: float) -> tuple[float, float]:

@@ -24,7 +24,14 @@ from squeezebell.bell import (
     sweep_map,
 )
 from squeezebell.errors import DegenerateKernelError, SqueezeBellError
-from squeezebell.evaluators import EvaluationSettings, correlator_auto, correlator_numeric
+from squeezebell.evaluators import (
+    EvaluationSettings,
+    band_series_value,
+    correlator_auto,
+    correlator_numeric,
+    numeric_series,
+)
+from squeezebell.kernel import xi_matrix
 from squeezebell.state import SqueezeParams, TransitionSpec
 
 SETTINGS = EvaluationSettings(ell=2.0)
@@ -352,8 +359,26 @@ def _rounding_nodes(grid, sweep):
     return mask
 
 
+@pytest.fixture(scope="class")
+def two_worker_sweep():
+    """Sweeps a benchmark layout with two workers, once per layout."""
+    done = {}
+
+    def sweep(n, method):
+        if (n, method) not in done:
+            done[n, method] = sweep_map(_layout_grid(n, method), workers=2)
+        return done[n, method]
+
+    return sweep
+
+
 class TestBenchmarkLayouts:
     """The 61x61 ``auto`` and 241x241 ``large-ell`` CHSH maps.
+
+    Every non-coincident ``auto`` key of the 61x61 map takes the Poisson-dual
+    series. Its digest, grid maximum, refined value and refinement count
+    were recorded when that series replaced the band series there, and each
+    of its entries must stay within 1e-13 of the band series on the same key.
 
     linspace leaves legs at some nodes 4.4e-16 from coincidence. Those legs
     share the coincident key; every other node keeps its value, which the
@@ -372,9 +397,9 @@ class TestBenchmarkLayouts:
         # memo entries, coincident value before and now, sum over the other
         # nodes before and now, grid maximum and its node, refined maximum,
         # refinement evaluations
-        (61, "auto", 161, 27, "ee11c67087cfe165d0b85af3f687d97baf4987ac9d655b40a6b9b9b64e79aa39",
+        (61, "auto", 161, 27, "ea5b0a64ae7d88358933f3d287e867178b4a8897c7dd8a3a74d16218a5581004",
          (0.999892480581494, 0.9998924738306026), (3703.6017480738537, 3703.601723068552),
-         (2.087808408951358, 1, 2), 2.180295694284692, 94),
+         (2.0878084089513615, 1, 2), 2.180295694284695, 97),
         (241, "large-ell", 702, 125, "c3d61e0a98ff2dba4bdb7a73583461e85085aacd7fc31bc2023b2a59f6d1d337",
          (0.9999421950146574, 0.999942195014138), (58008.6466171903, 58008.64661716017),
          (1.9998843900282766, 240, 8), 1.9998843900282766, 71),
@@ -386,10 +411,11 @@ class TestBenchmarkLayouts:
         ids=["61-auto", "241-large-ell"],
     )
     def test_map_and_refinement(
-        self, n, method, keys, rounding, digest, coincident, other_sums, grid_max, refined, evals
+        self, two_worker_sweep, n, method, keys, rounding, digest, coincident, other_sums,
+        grid_max, refined, evals,
     ):
         grid = _layout_grid(n, method)
-        sweep = sweep_map(grid, workers=2)
+        sweep = two_worker_sweep(n, method)
         assert len(sweep.table) == keys
         assert all(k[4] == 0.0 or abs(k[4]) > 1e-14 for k in sweep.table)
         mask = _rounding_nodes(grid, sweep)
@@ -397,6 +423,10 @@ class TestBenchmarkLayouts:
 
         others = sorted(item for item in sweep.table.items() if item[0][4] != 0.0)
         assert hashlib.sha256(repr(others).encode()).hexdigest() == digest
+        if method == "auto":
+            for k, (value, _, _) in others:
+                band = band_series_value(xi_matrix(bell._key_spec(k)), EvaluationSettings(ell=k[5]))[0]
+                assert abs(value - band) <= 1e-13, k
         (key,) = [k for k in sweep.table if k[4] == 0.0]
         before, now = coincident
         assert sweep.table[key][0] == now
@@ -422,6 +452,17 @@ class TestBenchmarkLayouts:
         best = find_max(grid, sweep, workers=2)
         assert (best.value, best.n_evaluations) == (refined, evals)
 
+    @pytest.mark.parametrize("n, method", [(61, "auto"), (241, "large-ell")], ids=["61-auto", "241-large-ell"])
+    def test_independent_of_worker_count(self, two_worker_sweep, n, method):
+        grid = _layout_grid(n, method)
+        par = two_worker_sweep(n, method)
+        one = sweep_map(grid, workers=1)
+        assert np.array_equal(one.values, par.values)
+        assert np.array_equal(one.methods, par.methods)
+        assert np.array_equal(one.flags, par.flags)
+        assert one.table == par.table
+        assert find_max(grid, one, workers=1) == find_max(grid, par, workers=2)
+
 
 def _failing_task(args):
     raise RuntimeError("task failed")
@@ -444,16 +485,33 @@ class TestPoolLifetime:
 
     @staticmethod
     def _grid():
-        return TestFindMax._large_ell_grid(("ell", 0.01, 2.0, 5))
+        # Bins far wider than the state: every leg takes the band series,
+        # the one route that goes to the pool here.
+        cfg = _theta_config(1.0, 0.3, 0.5, 0.0, -0.5, method="numeric")
+        return SweepGrid(fixed=cfg, axis1=("ell", 200.0, 400.0, 3), axis2=("dtheta_apb", 0.2, 1.2, 3))
 
     def test_one_pool_for_all_refinement_steps(self, constructed):
         grid = self._grid()
         sweep = sweep_map(grid, workers=2)
+        assert all(numeric_series(bell._key_spec(k), k[5]) == "band" for k in sweep.table)
         assert constructed == [2]
         res = find_max(grid, sweep, workers=2)
         assert res.n_evaluations >= 2
         assert constructed == [2, 2]
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("method, ell", [("large-ell", 1.0), ("numeric", 2.0)])
+    def test_cheap_keys_start_no_pool(self, constructed, method, ell):
+        # Closed forms, and bins narrow enough for the dual series, run in
+        # this process whatever the worker count.
+        cfg = _theta_config(1.0, 0.3, 0.5, 0.0, -0.5, method=method)
+        grid = SweepGrid(fixed=cfg, axis1=("ell", ell, 2.0 * ell, 3), axis2=("dtheta_apb", 0.2, 1.2, 3))
+        sweep = sweep_map(grid, workers=2)
+        res = find_max(grid, sweep, workers=2)
+        assert res.n_evaluations >= 2
+        assert constructed == []
+        serial = sweep_map(grid, workers=1)
+        assert np.array_equal(serial.values, sweep.values)
 
     def test_serial_run_starts_no_pool(self, constructed):
         grid = self._grid()

@@ -114,22 +114,37 @@ class TestCorrelatorPayload:
         assert doc["method"] == "numeric"
         assert doc["degenerate_path"] is False
 
-    def test_json_reports_the_evaluator_provenance(self, capsys):
-        assert run(["correlator", *REGRESSION_FLAGS, "--method", "numeric", "--format", "json"]) == 0
+    @staticmethod
+    def _numeric_payload(capsys, ell):
+        flags = REGRESSION_FLAGS[:-1] + [ell]
+        assert run(["correlator", *flags, "--method", "numeric", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         spec = TransitionSpec(a=SqueezeParams(1.2, 0.1, 0.3), b=SqueezeParams(0.9, -0.15, 0.0))
-        res = correlator_numeric(spec, EvaluationSettings(ell=2.0))
+        res = correlator_numeric(spec, EvaluationSettings(ell=float(ell)))
         assert doc == {
             "value": float(f"{res.value:.12g}"),
             "method": "numeric",
+            "series": res.series,
             "n_bands_used": res.n_bands_used,
             "series_terms_used": res.series_terms_used,
-            "quadrature_error_estimate": res.quadrature_error_estimate,
+            "error_estimate": res.error_estimate,
             "degenerate_path": False,
             "notes": [],
         }
-        assert doc["n_bands_used"] > 0 and doc["series_terms_used"] > 0
-        assert doc["quadrature_error_estimate"] > 0.0
+        assert doc["series_terms_used"] > 0
+        return doc
+
+    def test_json_reports_the_evaluator_provenance(self, capsys):
+        # A bin narrower than the state takes the dual series.
+        doc = self._numeric_payload(capsys, "2")
+        assert doc["series"] == "dual" and doc["n_bands_used"] == 0
+        assert 0.0 <= doc["error_estimate"] <= 1e-16
+
+    def test_json_reports_the_band_series_provenance(self, capsys):
+        # A bin far wider than the state takes the band series.
+        doc = self._numeric_payload(capsys, "150")
+        assert doc["series"] == "band" and doc["n_bands_used"] > 0
+        assert doc["error_estimate"] > 0.0
 
     def test_json_reports_the_coincident_route(self, capsys):
         assert run(["correlator", "--ra", "1", "--ell", "1", "--format", "json"]) == 0

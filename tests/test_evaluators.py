@@ -28,11 +28,15 @@ from squeezebell.evaluators import (
     correlator_large_ell_large_squeeze,
     correlator_numeric,
     correlator_small_ell,
-    narrow_bin_value,
+    dual_series_value,
+    numeric_series,
     wide_bin_value,
+    _dual_decay,
+    _dual_order,
+    _parity_fold,
     _sign_operator_equal_time,
 )
-from squeezebell.kernel import XiMatrix, coincident_rates
+from squeezebell.kernel import XiInverse, XiMatrix, coincident_rates, xi_inverse, xi_matrix
 from squeezebell.oracle import correlator_quadrature
 from squeezebell.state import SqueezeParams, TransitionSpec
 
@@ -106,7 +110,7 @@ class TestEqualTime:
         res = correlator_equal_time(SqueezeParams(1.2, 0.1), 0.8)
         assert res.method == "equal-time"
         assert res.n_bands_used > 0
-        assert 0.0 <= res.quadrature_error_estimate < 1e-8
+        assert 0.0 <= res.error_estimate < 1e-8
 
     def test_budget_refused_for_pathological_bin(self):
         # Anti-squeezed width e^r with a bin 9 orders smaller needs more
@@ -266,9 +270,11 @@ class TestNumeric:
             assert abs(res.value - 0.5 * (lo + hi)) <= 1e-11
 
     def test_band_cap_enforced(self):
+        # A bin this narrow sends ``numeric`` to the dual series, so the
+        # band cap is checked on the band series itself.
         spec = _spec(2.0, 0.3, 0.7, 2.0, -0.2)
         with pytest.raises(MaxBandsExceededError):
-            correlator_numeric(spec, EvaluationSettings(ell=0.05, max_bands=2))
+            band_series_value(xi_matrix(spec), EvaluationSettings(ell=0.05, max_bands=2))
 
     # (spec, ell) -> (repr of value, n_bands_used, series_terms_used, Xi),
     # recorded before the erfc bracket was rewritten to one erfcx call per
@@ -276,7 +282,9 @@ class TestNumeric:
     # from. The rewrite applies the same operations to every element, so
     # the band series on that Xi must match to the bit. The closed-form Xi
     # that replaced the elimination chain differs from it by rounding, so
-    # the correlator itself stays within 1e-13 with the same bands and terms.
+    # the band series on it stays within 1e-13 with the same bands and
+    # terms. ``numeric`` takes the dual series at every one of these
+    # inputs, which must land within 1e-13 of the same values.
     PINNED = [
         ((5.0, 0.0, 0.3, 5.0, 0.0), 100.0, ("-0.025664542870301968", 18, 32, (
             -9.07998636238074e-05 - 0.00029353126073134014j,
@@ -306,9 +314,13 @@ class TestNumeric:
         xi = XiMatrix(*entries)
         got, got_bands, got_terms, _ = band_series_value(xi, EvaluationSettings(ell=ell))
         assert (repr(got), got_bands, got_terms) == (value, n_bands, n_terms)
-        res = correlator_numeric(_spec(*args), EvaluationSettings(ell=ell))
+        settings = EvaluationSettings(ell=ell)
+        band, got_bands, got_terms, _ = band_series_value(xi_matrix(_spec(*args)), settings)
+        assert abs(band - float(value)) <= 1e-13 * abs(float(value))
+        assert (got_bands, got_terms) == (n_bands, n_terms)
+        res = correlator_numeric(_spec(*args), settings)
+        assert res.series == "dual"
         assert abs(res.value - float(value)) <= 1e-13 * abs(float(value))
-        assert (res.n_bands_used, res.series_terms_used) == (n_bands, n_terms)
 
     def test_overflowing_series_raised(self):
         # Convergent by all four conditions, but Re(xi12) > 0 makes the
@@ -318,11 +330,18 @@ class TestNumeric:
             band_series_value(xi, EvaluationSettings(ell=10.0))
 
     def test_metadata(self):
-        res = correlator_numeric(_spec(1.0, 0.3, 0.8, 0.7, -0.2), EvaluationSettings(ell=1.0))
-        assert res.method == "numeric"
+        # A bin wider than the state takes the band series.
+        res = correlator_numeric(_spec(1.0, 0.3, 0.8, 0.7, -0.2), EvaluationSettings(ell=200.0))
+        assert (res.method, res.series) == ("numeric", "band")
         assert res.n_bands_used >= 2 and res.n_bands_used % 2 == 0
         assert res.series_terms_used >= 16
-        assert res.quadrature_error_estimate < 1e-6
+        assert res.error_estimate < 1e-6
+
+    def test_dual_metadata(self):
+        res = correlator_numeric(_spec(1.0, 0.3, 0.8, 0.7, -0.2), EvaluationSettings(ell=1.0))
+        assert (res.method, res.series, res.n_bands_used) == ("numeric", "dual", 0)
+        assert res.series_terms_used >= 1
+        assert 0.0 <= res.error_estimate <= 1e-16
 
 
 class TestSmallEll:
@@ -346,8 +365,17 @@ class TestSmallEll:
         assert abs(a - b) <= 1e-6
 
     def test_narrow_bin_closed_form_zero_coupling(self):
-        xi = XiMatrix(xi11=-1.0, xi22=-1.0, xi12=0.0)
-        assert narrow_bin_value(xi, 0.5) == 0.0
+        inv = XiInverse(ch_a=1.0, ch_b=1.0, p=0j, gap=1.0)
+        assert dual_series_value(inv, 0.5, 1)[0] == 0.0
+
+    def test_is_the_one_term_dual(self):
+        # The (1, 1) term alone, with the bound on all the others.
+        spec = _spec(1.2, 0.3, 0.6, 0.8, -0.2)
+        res = correlator_small_ell(spec, 2.5)
+        assert (res.series, res.series_terms_used) == ("dual", 1)
+        full = correlator_numeric(spec, EvaluationSettings(ell=2.5))
+        assert full.series == "dual" and full.series_terms_used > 1
+        assert 0.0 < abs(res.value - full.value) <= res.error_estimate
 
     def test_invalid_ell_rejected(self):
         with pytest.raises(ValueError):
@@ -482,3 +510,127 @@ class TestAutoDispatch:
         spec = _spec(ra, pa, dth, rb, pb)
         res = correlator_auto(spec, EvaluationSettings(ell=math.exp(log_ell)))
         assert abs(res.value) <= 1.0 + 1e-9
+
+
+def _dual_draws(seed: int, count: int):
+    """Seeded keys where both series converge: the band series within its
+    default band cap, the dual within 2000 odd terms per axis."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
+        ra, rb = rng.uniform(0.0, 5.0, size=2)
+        pa, pb = rng.uniform(-math.pi / 2, math.pi / 2, size=2)
+        dth = rng.uniform(-math.pi / 2, math.pi / 2)
+        ell = math.exp(max(ra, rb)) * math.exp(rng.uniform(math.log(0.05), math.log(5.0)))
+        spec = _spec(ra, pa, dth, rb, pb)
+        inv = xi_inverse(spec)
+        if _dual_order(_dual_decay(inv, ell), 2000) is None:
+            continue
+        try:
+            band = band_series_value(xi_matrix(spec), EvaluationSettings(ell=ell))[0]
+        except MaxBandsExceededError:
+            continue
+        draws.append((spec, inv, ell, band))
+    return draws
+
+
+@pytest.fixture(scope="module")
+def dual_draws():
+    return _dual_draws(8, 30)
+
+
+class TestDualSeries:
+    """The Poisson-dual series against the band series and its own bound.
+
+    Its agreement with the oracle is held by acceptance criterion 7.
+    """
+
+    @pytest.mark.parametrize("index", range(30))
+    def test_agrees_with_band_series(self, dual_draws, index):
+        spec, inv, ell, band = dual_draws[index]
+        value, n_odd, bound = dual_series_value(inv, ell)
+        assert abs(value - band) <= 1e-12
+        assert bound <= 1e-16 and n_odd <= 2000
+
+    @pytest.mark.parametrize("index", range(30))
+    def test_bound_covers_truncation(self, dual_draws, index):
+        spec, inv, ell, band = dual_draws[index]
+        full, _, full_bound = dual_series_value(inv, ell)
+        for n_odd in (1, 2, 3, 5):
+            value, _, bound = dual_series_value(inv, ell, n_odd)
+            assert abs(value - full) <= bound + full_bound
+            # Where the bound is well above the two series' agreement, it
+            # also covers the distance to the band series.
+            if bound >= 1e-11:
+                assert abs(value - band) <= bound
+
+    @pytest.mark.parametrize("dth", [0.5, -1.2, 1.0, 0.75])
+    def test_half_turn_negates_to_the_bit(self, dth):
+        # Each dth + pi folds back to exactly dth.
+        spec = _spec(5.0, 0.0, dth, 5.0, 0.0)
+        turned = _spec(5.0, 0.0, dth + math.pi, 5.0, 0.0)
+        assert _parity_fold(dth + math.pi) == (dth, -1.0)
+        st_ = EvaluationSettings(ell=100.0)
+        base = correlator_numeric(spec, st_)
+        assert base.series == "dual"
+        assert correlator_numeric(turned, st_).value == -base.value
+        # The sum is odd in p term by term.
+        inv = xi_inverse(spec)
+        flipped = XiInverse(inv.ch_a, inv.ch_b, -inv.p, inv.gap)
+        assert dual_series_value(flipped, 100.0)[0] == -dual_series_value(inv, 100.0)[0]
+
+    def test_deep_squeeze_narrow_bin_returns_at_once(self):
+        # At r = 12 the band series needs about 2e4 bands of width 100; it
+        # ran for minutes before refusing with MaxBandsExceededError. The
+        # dual needs a handful of terms and equals the one-term form.
+        for pa, pb in ((-0.2, 0.2), (0.2, -0.2)):
+            spec = _spec(12.0, pa, 0.5, 12.0, pb)
+            res = correlator_numeric(spec, EvaluationSettings(ell=100.0))
+            assert (res.series, res.n_bands_used) == ("dual", 0)
+            assert res.series_terms_used <= 5 and res.error_estimate <= 1e-16
+            assert res.value == correlator_small_ell(spec, 100.0).value
+
+    def test_mixed_pair_narrow_bin_within_its_bound(self, capsys):
+        # auto used to send this to the band series, which refused after
+        # 4096 bands. Every term of the dual underflows; the truth lies
+        # within the reported bound of the returned zero, and so do the
+        # truncations that keep the leading terms.
+        ell = 0.0820849986238988
+        spec = _spec(0.0, 0.0, 0.0, 4.0, 0.0)
+        res = correlator_auto(spec, EvaluationSettings(ell=ell))
+        assert (res.method, res.series, res.value) == ("numeric", "dual", 0.0)
+        assert res.error_estimate <= 1e-16
+        for n_odd in (1, 2, 3):
+            assert abs(dual_series_value(xi_inverse(spec), ell, n_odd)[0]) <= res.error_estimate
+        argv = ["correlator", "--ra", "0", "--phia", "0", "--rb", "4", "--phib", "0",
+                "--dtheta", "0", "--ell", repr(ell)]
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == "0\n"
+
+    @pytest.mark.parametrize("r, phi", [(10.0, 3e-4), (12.0, 3e-5)])
+    def test_deep_squeeze_near_locus_matches_extended_precision(self, r, phi):
+        # Next to the maximal-correlation locus k^2 ch_b + l^2 ch_a - 2 k l Re p
+        # cancels; the same truncated sum in 60 digits bounds what that costs.
+        import mpmath as mp
+
+        ell = 100.0 if r == 10.0 else 200.0
+        spec = _spec(r, phi, 0.0, r, -phi)
+        value, n_odd, _ = dual_series_value(xi_inverse(spec), ell)
+        assert 10 <= n_odd <= 80
+        with mp.workdps(60):
+            ra, pa, pb, ell_ = (mp.mpf(x) for x in (r, phi, -phi, ell))
+            p = mp.exp(1j * (pa - pb)) * mp.cos(pa + pb) * mp.sinh(2 * ra)
+            ch, kappa = mp.cosh(2 * ra), mp.pi**2 / (4 * ell_**2)
+            total = mp.mpf(0)
+            for k in range(1, 2 * n_odd, 2):
+                for l in range(1, 2 * n_odd, 2):
+                    q = (k * k + l * l) * ch
+                    total += (mp.exp(-kappa * (q - 2 * k * l * p)) - mp.exp(-kappa * (q + 2 * k * l * p))).real / (k * l)
+            reference = float(8 / mp.pi**2 * total)
+        assert abs(value - reference) <= 1e-13
+
+    @pytest.mark.parametrize("ell, series", [(1.0, "dual"), (100.0, "dual"), (1e4, "band")])
+    def test_numeric_takes_the_cheaper_series(self, ell, series):
+        spec = _spec(5.0, -0.2, 0.5, 5.0, 0.2)
+        assert numeric_series(spec, ell) == series
+        assert correlator_numeric(spec, EvaluationSettings(ell=ell)).series == series

@@ -17,8 +17,9 @@ from squeezebell.complexfn import principal_sqrt
 from squeezebell.errors import BudgetExceededError, DivergentSeriesError
 from squeezebell.evaluators import (
     EvaluationSettings,
+    band_series_value,
     correlator_numeric,
-    narrow_bin_value,
+    correlator_small_ell,
     wide_bin_value,
 )
 from squeezebell.kernel import xi_determinant, xi_matrix
@@ -190,8 +191,11 @@ class TestThetaResummation:
     def test_matches_band_series_moderate_squeezing(self):
         spec = _spec(1.2, 0.02, 0.0, 1.2, -0.02)
         resummed = _theta_resummed(spec, 0.5)
-        numeric = correlator_numeric(spec, EvaluationSettings(ell=0.5)).value
-        assert abs(numeric) > 0.01
+        settings = EvaluationSettings(ell=0.5)
+        band = band_series_value(xi_matrix(spec), settings)[0]
+        numeric = correlator_numeric(spec, settings).value
+        assert abs(band) > 0.01
+        assert abs(resummed - band) <= 1e-6
         assert abs(resummed - numeric) <= 1e-6
 
     def test_matches_narrow_bin_deep_squeezing(self):
@@ -201,6 +205,6 @@ class TestThetaResummation:
         # an O(1) value on both sides.
         spec = _spec(5.0, 1e-6, 0.0, 5.0, -1e-6)
         resummed = _theta_resummed(spec, 0.3)
-        closed = narrow_bin_value(xi_matrix(spec), 0.3)
+        closed = correlator_small_ell(spec, 0.3).value
         assert abs(closed) > 0.1
         assert abs(resummed - closed) <= 1e-6

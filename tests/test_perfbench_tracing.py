@@ -36,14 +36,18 @@ def tracing():
 
 
 def _drive(capsys):
-    mode = SqueezeParams(1.0, 0.0, 0.0)
+    # Bins far wider than the state put every leg on the band series, the
+    # route that goes to the pool, so the pool's task layer is reached.
+    def mode(theta):
+        return SqueezeParams(1.0, 0.0, theta)
+
     grid = bell.SweepGrid(
         fixed=bell.BellConfig(
-            a=mode, a_prime=mode, b=mode, b_prime=mode,
-            settings=EvaluationSettings(ell=1.0), method="large-ell",
+            a=mode(0.3), a_prime=mode(0.5), b=mode(0.0), b_prime=mode(-0.5),
+            settings=EvaluationSettings(ell=1.0), method="numeric",
         ),
-        axis1=("dtheta_apbp", -1.0, 1.3, 5),
-        axis2=("dtheta_apb", -1.0, 1.3, 5),
+        axis1=("ell", 200.0, 400.0, 3),
+        axis2=("dtheta_apb", 0.2, 1.2, 3),
     )
     bell.find_max(grid, bell.sweep_map(grid, workers=2), workers=2)
     flags = ["--ra", "1.2", "--phia", "0.1", "--rb", "0.9", "--dtheta", "0.3", "--ell", "2"]
