@@ -22,9 +22,9 @@ and is shut down before the call returns; every later batch of the call,
 each refinement step included, reuses it. Quadrature keys run serially
 when the pool has one worker or a batch has fewer than two of them.
 
-Per-node failures (degenerate kernels under a forced method,
-non-convergent quadratic forms) become NaN entries with a flag string;
-they never abort a sweep.
+Per-node failures (a form past double precision, forced ``equal-time``
+on a pair that is not coincident, a band series that does not settle)
+become NaN entries with a flag string; they never abort a sweep.
 """
 
 from __future__ import annotations
@@ -383,7 +383,7 @@ def _is_quadrature(key: _Key, method: str) -> bool:
         if method == "auto":
             method = auto_method(spec, key[5])
         if method == "numeric":
-            return numeric_series(spec, key[5]) == "band"
+            return numeric_series(spec, key[5]) != "dual"
     except SqueezeBellError:
         return False
     return method in ("equal-time", "oracle")

@@ -2,7 +2,9 @@
 
 Every numerical-domain failure raises a subclass of :class:`SqueezeBellError`
 whose message names the violated condition, so callers (and the CLI) can
-report *why* a point is not evaluable instead of a bare traceback.
+report *why* a point is not evaluable instead of a bare traceback. The
+reduced form is finite at every pair, coincident ones included, until it
+leaves double precision (ComplexOverflowError, r_a + r_b ~ 355).
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ class BranchPoleError(SqueezeBellError):
 
 class ComplexOverflowError(SqueezeBellError):
     """A quadratic form or a scaled special function left the double-precision range."""
-
-
-class DegenerateKernelError(SqueezeBellError):
-    """Two-time kernel collapses: the two snapshots are a coincident pair."""
 
 
 class NonConvergentXiError(SqueezeBellError):

@@ -16,21 +16,19 @@ with the reduced quadratic form Xi. Five evaluation routes are provided:
 - ``large-squeeze``: infinite-squeezing limit, a pure function of the
   angles.
 - ``equal-time``: signed cell sum of the one snapshot's density for a
-  coincident pair, where the two-time kernel degenerates; the density's
-  decay rates come from ``kernel.coincident_rates``.
+  coincident pair, whose decay rates are read from ``kernel.xi_inverse``
+  of that pair.
 
 ``auto`` dispatches on bin width relative to the squeezing scale e^r
 (``auto_method``); ``numeric_series`` tells which series ``numeric`` runs,
 so a caller can tell the cheap keys from the quadratures before running
 any.
 
-Degeneracy is decided once, by ``kernel.is_coincident`` on the folded
-pair: a coincident pair goes to the equal-time path (``auto``) or the
-wide-bin equal-time limit (``large-ell``), and every method that needs Xi
-refuses it with DegenerateKernelError. Everything else is evaluated at the
-angle difference it was given. The kernel determinant also vanishes on a
-hypersurface of non-coincident pairs, but Xi is continuous there (see
-``kernel``), so no angle is shifted.
+Coincidence is decided once, by ``kernel.is_coincident`` on the folded
+pair, and refuses nothing: Xi^-1 there is the snapshot's density (see
+``kernel``). ``auto`` and ``numeric`` take the equal-time path, since the
+band series does not resolve the coincident ridge at deep squeezing; the
+other methods read the form as for any pair, and no angle is shifted.
 
 All spec-taking evaluators first fold the angle difference into
 [-pi/2, pi/2] using the exact parity identity E(dtheta + pi) = -E(dtheta)
@@ -58,11 +56,9 @@ from .errors import ComplexOverflowError, MaxBandsExceededError, NonConvergentXi
 from .kernel import (
     XiInverse,
     XiMatrix,
-    coincident_rates,
     is_coincident,
     large_squeeze_zeta,
     series_prefactor,
-    xi_determinant,
     xi_inverse,
     xi_matrix,
 )
@@ -150,9 +146,9 @@ class CorrelatorResult:
     leave it empty. ``error_estimate`` is the quadrature error estimate of
     the band series and the equal-time path, and the bound on the omitted
     terms of the dual series. ``degenerate_path`` marks values of a
-    coincident pair, which ``auto`` delegates to the equal-time path and
-    ``large-ell`` to the wide-bin equal-time limit; ``notes`` carries the
-    human-readable detail.
+    coincident pair, which ``auto`` and ``numeric`` delegate to the
+    equal-time path and ``large-ell`` flags as the wide-bin equal-time
+    limit; ``notes`` carries the human-readable detail.
     """
 
     value: float
@@ -438,7 +434,9 @@ def _numeric_plan(spec: TransitionSpec, ell: float) -> tuple[XiInverse, int | No
 
 
 def numeric_series(spec: TransitionSpec, ell: float) -> str:
-    """The series ``correlator_numeric`` runs for the pair: "dual" or "band"."""
+    """The path ``correlator_numeric`` takes: "equal-time" (coincident pair), "dual" or "band"."""
+    if is_coincident(spec):
+        return "equal-time"
     return "band" if _numeric_plan(spec, ell)[1] is None else "dual"
 
 
@@ -446,8 +444,12 @@ def correlator_numeric(spec: TransitionSpec, settings: EvaluationSettings) -> Co
     """Two-time correlator by an exact series: the Poisson-dual series or the band series.
 
     ``_numeric_plan`` picks the cheaper one a priori; ``series`` names it.
+    A coincident pair takes the equal-time path, as in ``correlator_auto``.
     """
     spec, parity = _parity_reduce(spec)
+    if is_coincident(spec):
+        res = _coincident_equal_time(spec, settings.ell)
+        return replace(res, value=parity * res.value)
     inv, n_odd = _numeric_plan(spec, settings.ell)
     if n_odd is not None:
         value, n_odd, bound = dual_series_value(inv, settings.ell, n_odd)
@@ -469,15 +471,14 @@ def correlator_numeric(spec: TransitionSpec, settings: EvaluationSettings) -> Co
     )
 
 
-def wide_bin_value(xi: XiMatrix) -> float:
-    """Closed-form wide-bin (ell -> infinity) limit of the band series.
+def wide_bin_value(inv: XiInverse) -> float:
+    """Closed-form wide-bin (ell -> infinity) limit, E = (2/pi) Re arctan(p / sqrt(det)).
 
     Only the four cells around the origin survive; their quadrant Gaussian
-    closed forms combine to E = (2/pi) Re arctan(xi12 / sqrt(det Xi)).
+    closed forms give (2/pi) Re arctan(xi12 / sqrt(det Xi)), the same value.
+    Re det >= 1 picks the principal branches at every pair.
     """
-    require_converged(xi)
-    root = principal_sqrt(xi_determinant(xi))
-    return (2.0 / math.pi) * principal_arctan(xi.xi12 / root).real
+    return (2.0 / math.pi) * principal_arctan(inv.p / principal_sqrt(inv.det)).real
 
 
 def correlator_small_ell(spec: TransitionSpec, ell: float) -> CorrelatorResult:
@@ -499,35 +500,19 @@ def correlator_small_ell(spec: TransitionSpec, ell: float) -> CorrelatorResult:
     )
 
 
-def _sign_operator_equal_time(params: SqueezeParams) -> float:
-    """ell -> infinity equal-time limit: E = (2/pi) arctan(p / sqrt(det)).
-
-    In that limit the binned observable reduces to sign(q), and the
-    quadrant masses of the centred density give E = (2/pi) arcsin(p / c),
-    which is the arctangent above. In the decay rates of
-    ``kernel.coincident_rates``, p / sqrt(det) = (t - 1/t) / 2 with
-    t = sqrt(lam_v / lam_u).
-    """
-    lam_u, lam_v = coincident_rates(params.r, params.varphi)
-    t = math.sqrt(lam_v) / math.sqrt(lam_u)
-    return (2.0 / math.pi) * math.atan(0.5 * (t - 1.0 / t))
-
-
 def correlator_large_ell(spec: TransitionSpec) -> CorrelatorResult:
-    """Wide-bin closed form; the bin width drops out entirely.
+    """Wide-bin closed form ``wide_bin_value``; the bin width drops out entirely.
 
-    Coincident pairs, where the two-time kernel degenerates, are routed to
-    the wide-bin equal-time limit (2/pi) arctan(p / sqrt(det)) instead.
+    At a coincident pair it is the equal-time limit, and is flagged so.
     """
     spec, parity = _parity_reduce(spec)
-    if is_coincident(spec):
-        return CorrelatorResult(
-            value=parity * _sign_operator_equal_time(spec.a),
-            method="large-ell",
-            degenerate_path=True,
-            notes=("coincident pair: wide-bin equal-time limit",),
-        )
-    return CorrelatorResult(value=parity * wide_bin_value(xi_matrix(spec)), method="large-ell")
+    coincident = is_coincident(spec)
+    return CorrelatorResult(
+        value=parity * wide_bin_value(xi_inverse(spec)),
+        method="large-ell",
+        degenerate_path=coincident,
+        notes=("coincident pair: wide-bin equal-time limit",) if coincident else (),
+    )
 
 
 def correlator_large_ell_large_squeeze(
@@ -558,9 +543,10 @@ def correlator_large_ell_large_squeeze(
 def _equal_time_cells(params: SqueezeParams, ell: float) -> tuple[float, float, int]:
     """Signed cell sum of |psi|^2 over the sign-bin checkerboard.
 
-    |psi|^2 is a centered bivariate Gaussian that factorizes exactly in the
-    rotated coordinates u = (q1+q2)/sqrt(2), v = (q1-q2)/sqrt(2), with the
-    decay rates lam_u, lam_v of ``kernel.coincident_rates``. The
+    |psi|^2, of covariance -Xi^-1 = (1/2) [[c, p], [p, c]] at the coincident
+    pair, factorizes exactly in the rotated coordinates u = (q1+q2)/sqrt(2),
+    v = (q1-q2)/sqrt(2); the wider axis has decay rate 1/(c + |p|), the
+    narrower (c + |p|)/gap, both sums of nonnegative terms. The
     checkerboard sign (-1)^{floor(q1/ell)+floor(q2/ell)} is piecewise
     constant in u at fixed v, so the u-integral is an exact erf segment sum
     over the lattice-line crossings; only the v-direction is integrated
@@ -571,10 +557,10 @@ def _equal_time_cells(params: SqueezeParams, ell: float) -> tuple[float, float, 
     diagonal sliver of width e^{-r} that a checkerboard-aligned quadrature
     cannot resolve affordably.
     """
-    lam_u, lam_v = coincident_rates(params.r, params.varphi)
-    sign = 1.0
-    if lam_u > lam_v:
-        lam_u, lam_v, sign = lam_v, lam_u, -1.0
+    inv = xi_inverse(TransitionSpec(a=params, b=params))
+    wide = inv.ch_a + abs(inv.p.real)
+    lam_u, lam_v = 1.0 / wide, wide / inv.gap
+    sign = -1.0 if inv.p.real < 0.0 else 1.0
     # Lattice lines q = n ell map to u = c n -/+ v with c = sqrt(2) ell.
     c = math.sqrt(2.0) * ell
     su, sv = math.sqrt(lam_u), math.sqrt(lam_v)
@@ -630,34 +616,45 @@ def correlator_equal_time(params: SqueezeParams, ell: float) -> CorrelatorResult
     )
 
 
+def _coincident_equal_time(spec: TransitionSpec, ell: float) -> CorrelatorResult:
+    """The equal-time path for a coincident (parity-folded) pair, flagged as such."""
+    res = correlator_equal_time(spec.a, ell)
+    note = "coincident pair: delegated to equal-time path"
+    return replace(res, degenerate_path=True, notes=(*res.notes, note))
+
+
+def _state_width(r: float) -> float:
+    """e^r, or inf where it leaves double precision (r > ~709.8)."""
+    try:
+        return math.exp(r)
+    except OverflowError:
+        return math.inf
+
+
 def auto_method(spec: TransitionSpec, ell: float) -> str:
     """The method ``correlator_auto`` runs for the parity-folded pair.
 
     Coincident pairs take the equal-time path; otherwise the bin width
     against the squeezing scale e^r picks the narrow-bin form
     (ell < 0.01 min e^r), the wide-bin form (ell > 100 max e^r) or
-    ``numeric``.
+    ``numeric``. A scale past double precision counts as infinite, so the
+    route's own evaluator names the refusal.
     """
     if is_coincident(spec):
         return "equal-time"
-    if ell < 0.01 * math.exp(min(spec.a.r, spec.b.r)):
+    if ell < 0.01 * _state_width(min(spec.a.r, spec.b.r)):
         return "small-ell"
-    if ell > 100.0 * math.exp(max(spec.a.r, spec.b.r)):
+    if ell > 100.0 * _state_width(max(spec.a.r, spec.b.r)):
         return "large-ell"
     return "numeric"
 
 
 def correlator_auto(spec: TransitionSpec, settings: EvaluationSettings) -> CorrelatorResult:
-    """Dispatch on degeneracy and bin-width regime, by ``auto_method``."""
+    """Dispatch on coincidence and bin-width regime, by ``auto_method``."""
     spec, parity = _parity_reduce(spec)
     method = auto_method(spec, settings.ell)
     if method == "equal-time":
-        res = correlator_equal_time(spec.a, settings.ell)
-        res = replace(
-            res,
-            degenerate_path=True,
-            notes=res.notes + ("coincident pair: delegated to equal-time path",),
-        )
+        res = _coincident_equal_time(spec, settings.ell)
     elif method == "small-ell":
         res = correlator_small_ell(spec, settings.ell)
     elif method == "large-ell":

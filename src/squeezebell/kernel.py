@@ -34,26 +34,13 @@ path.
 
 Degeneracy: the 12x12 system determinant factors as
 f_M = -4 e^{2i dtheta} g_s g_c with two real factors g_s and g_c, each a
-sinusoid in dtheta, so f_M vanishes on a hypersurface of (r, phi, dtheta).
-S and M carry those factors (S ~ 1/g_c, M ~ 1/g_s) but they cancel out of
-Xi, whose determinant above never vanishes, so Xi is continuous across
-that hypersurface.
-What does degenerate is the coincident pair (the same state at the same
-angle, up to the half-turn parity image): the two-time kernel collapses
-to a delta sheet that no Gaussian form describes. ``xi_matrix`` refuses
-exactly that pair, through ``is_coincident``, with DegenerateKernelError;
-routing it to the equal-time path is the evaluator layer's job.
-
-Equal time: at r_a = r_b = r, phi_a = phi_b = phi, dtheta = 0 the same
-closed form has p = cos(2 phi) sinh 2r and det = 1 + (sin(2 phi) sinh 2r)^2
-= c^2 - p^2 for c = cosh 2r, and the snapshot's density factorizes in
-u = (q1 + q2)/sqrt 2 and v = (q1 - q2)/sqrt 2:
-
-    |psi|^2 = exp(-u^2/(c + p) - v^2/(c - p)) / (pi sqrt det),
-
-where c +- p = e^{-2r} + 2 cos^2(phi) sinh 2r and e^{-2r} + 2 sin^2(phi)
-sinh 2r are sums of nonnegative terms. ``coincident_rates`` returns the
-two decay rates.
+sinusoid in dtheta, so f_M vanishes on a hypersurface of (r, phi, dtheta)
+that holds every coincident pair (``is_coincident``). S and M carry those
+factors (S ~ 1/g_c, M ~ 1/g_s) but they cancel out of Xi, whose
+determinant above never vanishes, so no pair is refused. At a coincident
+pair Xi^-1 = -(1/2) [[c, p], [p, c]] with c = cosh 2r, p = cos(2 phi) sinh 2r
+is minus the covariance of the one snapshot's density. Only a form past
+double precision (r_a + r_b ~ 355) raises ComplexOverflowError.
 """
 
 from __future__ import annotations
@@ -63,7 +50,7 @@ import math
 from dataclasses import dataclass
 
 from .complexfn import principal_sqrt
-from .errors import ComplexOverflowError, DegenerateKernelError
+from .errors import ComplexOverflowError
 from .state import TransitionSpec
 
 __all__ = [
@@ -72,7 +59,6 @@ __all__ = [
     "is_coincident",
     "xi_inverse",
     "xi_matrix",
-    "coincident_rates",
     "large_squeeze_zeta",
     "xi_determinant",
     "series_prefactor",
@@ -97,12 +83,12 @@ class XiMatrix:
 def is_coincident(spec: TransitionSpec) -> bool:
     """True when both snapshots are the same physical state at the same angle.
 
-    Identity is taken modulo the exact symmetries: varphi modulo pi (the
-    density depends on varphi only through cos^2 varphi and sin^2 varphi,
-    see ``coincident_rates``), varphi irrelevant at r = 0, where
-    sinh 2r = 0, and the angle difference modulo pi, since a half turn
-    only reflects the quadrature (Q -> -Q) and its kernel collapses the
-    same way.
+    Its form is that snapshot's density (module docstring). Identity is
+    taken modulo the exact symmetries: varphi modulo pi (the density
+    depends on varphi only through p = cos(2 varphi) sinh 2r), varphi
+    irrelevant at r = 0, where sinh 2r = 0, and the angle difference modulo
+    pi, since a half turn only reflects the quadrature (Q -> -Q), which
+    negates p.
     """
     a, b = spec.a, spec.b
     if a.r != b.r:
@@ -128,17 +114,18 @@ class XiInverse:
     p: complex
     gap: float
 
+    @property
+    def det(self) -> complex:
+        """det [[ch_b, p], [p, ch_a]] = gap + 2 (Im p)^2 - 2i Re p Im p; its real part is at least 1."""
+        return complex(self.gap + 2.0 * self.p.imag**2, -2.0 * self.p.real * self.p.imag)
+
 
 def xi_inverse(spec: TransitionSpec) -> XiInverse:
     """Xi^-1 in the closed form of the module docstring; no determinant is divided by.
 
-    A coincident pair raises DegenerateKernelError, and a form that leaves
-    double precision raises ComplexOverflowError.
+    A form that leaves double precision raises ComplexOverflowError, so
+    ch_a + ch_b + |Re p| and ``det`` are finite for every pair returned.
     """
-    if is_coincident(spec):
-        raise DegenerateKernelError(
-            "two-time kernel collapses for a coincident transition pair"
-        )
     ra, pa = spec.a.r, spec.a.varphi
     rb, pb = spec.b.r, spec.b.varphi
     c, s = math.cos(pa + pb), math.sin(pa + pb)
@@ -147,7 +134,8 @@ def xi_inverse(spec: TransitionSpec) -> XiInverse:
         ch_a, ch_b = math.cosh(2.0 * ra), math.cosh(2.0 * rb)
         p = cmath.exp(1j * (spec.delta_theta + pa - pb)) * complex(c * sh_sum, s * sh_diff)
         gap = 1.0 + (s * sh_sum) ** 2 + (c * sh_diff) ** 2
-        finite = math.isfinite(gap + p.imag**2 + abs(p.real * p.imag))
+        terms = ch_a + ch_b + abs(p.real) + gap + 2.0 * (p.imag**2 + abs(p.real * p.imag))
+        finite = math.isfinite(terms)
     except OverflowError:
         finite = False
     if not finite:
@@ -161,36 +149,12 @@ def xi_matrix(spec: TransitionSpec) -> XiMatrix:
     """Reduce the 4x4 two-time quadratic form to the observable 2x2 block.
 
     Xi = 2 (S^-1 + M^-1)^-1, the inverse of ``xi_inverse``; xi11 belongs to
-    the later-argument (b) side and xi22 to the earlier (a) side. A
-    coincident pair raises DegenerateKernelError, and a form that leaves
-    double precision raises ComplexOverflowError.
+    the later-argument (b) side and xi22 to the earlier (a) side. A form
+    that leaves double precision raises ComplexOverflowError.
     """
     inv = xi_inverse(spec)
-    p = inv.p
-    det = complex(inv.gap + 2.0 * p.imag**2, -2.0 * p.real * p.imag)
-    if not (math.isfinite(det.real) and math.isfinite(det.imag)):
-        raise ComplexOverflowError(
-            f"reduced quadratic form leaves double precision at r_a + r_b = {spec.a.r + spec.b.r:g}"
-        )
-    f = 2.0 / det
-    return XiMatrix(-f * inv.ch_a, -f * inv.ch_b, f * p)
-
-
-def coincident_rates(r: float, varphi: float) -> tuple[float, float]:
-    """Decay rates (1/(c + p), 1/(c - p)) of the snapshot's density in u and v.
-
-    Their product is 1/det. Where sinh 2r or a rate leaves double precision,
-    past r ~ 355, this raises ComplexOverflowError, as ``xi_matrix`` does.
-    """
-    try:
-        sh = math.sinh(2.0 * r)
-        lam_u = 1.0 / (math.exp(-2.0 * r) + 2.0 * math.cos(varphi) ** 2 * sh)
-        lam_v = 1.0 / (math.exp(-2.0 * r) + 2.0 * math.sin(varphi) ** 2 * sh)
-    except OverflowError:
-        lam_u = lam_v = math.inf
-    if not (0.0 < lam_u < math.inf and 0.0 < lam_v < math.inf):
-        raise ComplexOverflowError(f"equal-time density leaves double precision at r = {r:g}")
-    return lam_u, lam_v
+    f = 2.0 / inv.det
+    return XiMatrix(-f * inv.ch_a, -f * inv.ch_b, f * inv.p)
 
 
 def _xi_extended(

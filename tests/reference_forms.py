@@ -2,11 +2,12 @@
 
 - The tanh parametrization of the two-mode squeezed wavefunction,
   psi = N exp(A/2 (q1^2 + q2^2) + B q1 q2), and its Fock amplitudes. The
-  runtime reads the same Gaussian from ``kernel.coincident_rates``; these
-  coefficients cancel catastrophically at deep squeezing, so they are
-  compared with it only where they are accurate.
+  runtime reads the same Gaussian from ``kernel.xi_inverse`` of the
+  coincident pair; these coefficients cancel catastrophically at deep
+  squeezing, so they are compared with it only where they are accurate.
 - The quadrant Gaussian integral, whose signed composition is the
   wide-bin closed form ``evaluators.wide_bin_value``.
+- That closed form again, in extended precision (``wide_bin_reference``).
 """
 
 import cmath
@@ -169,3 +170,23 @@ def quadrant_gaussian(a: complex, b: complex, c: complex, quadrant: str) -> comp
     if quadrant in ("PP", "MM"):
         return (math.pi / 2.0 - angle) / (2.0 * root)
     return (math.pi / 2.0 + angle) / (2.0 * root)
+
+
+def wide_bin_reference(ra: float, rb: float, sigma: float, psi: float, dps: int) -> float:
+    """``evaluators.wide_bin_value`` of the pair's Xi^-1, formed in ``dps`` digits.
+
+    E = (2/pi) Re arctan(p / sqrt(det)) with the ``kernel`` closed forms of
+    p and det. sigma = phi_a + phi_b and psi = dtheta + phi_a - phi_b are
+    passed as the kernel rounds them, since near the loci the correlator
+    moves with them by far more than the rounding of the form.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        ra, rb, sigma, psi = (mp.mpf(x) for x in (ra, rb, sigma, psi))
+        c, s = mp.cos(sigma), mp.sin(sigma)
+        sh_sum, sh_diff = mp.sinh(ra + rb), mp.sinh(ra - rb)
+        p = mp.expj(psi) * mp.mpc(c * sh_sum, s * sh_diff)
+        gap = 1 + (s * sh_sum) ** 2 + (c * sh_diff) ** 2
+        det = mp.mpc(gap + 2 * p.imag**2, -2 * p.real * p.imag)
+        return float(2 / mp.pi * mp.re(mp.atan(p / mp.sqrt(det))))

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference_forms import wide_bin_reference
 from squeezebell import bell
 from squeezebell.bell import (
     AXIS_SELECTORS,
@@ -23,7 +24,7 @@ from squeezebell.bell import (
     leg_key,
     sweep_map,
 )
-from squeezebell.errors import DegenerateKernelError, SqueezeBellError
+from squeezebell.errors import SqueezeBellError
 from squeezebell.evaluators import (
     EvaluationSettings,
     band_series_value,
@@ -109,20 +110,21 @@ class TestBellOperator:
         assert bell_operator(cfg) == sweep.values[2, 0]
 
     def test_failed_leg_is_reported(self):
-        # Coincident (a, b) leg with the forced band-series method cannot
-        # be evaluated; the failure must surface, not silently NaN.
-        cfg = _theta_config(1.0, 0.0, 0.8, 0.0, 1.2, method="numeric")
+        # Forced equal-time evaluates the coincident (a, b) leg but refuses
+        # the other three; the failure must surface, not silently NaN.
+        cfg = _theta_config(1.0, 0.0, 0.8, 0.0, 1.2, method="equal-time")
         with pytest.raises(SqueezeBellError, match="correlator leg failed"):
             bell_operator(cfg)
 
 
 class TestEvaluateKey:
     def test_error_becomes_flagged_nan(self):
-        key = (1.0, 0.2, 1.0, 0.2, 0.0, 1.0)
+        # r_a + r_b = 400 takes the reduced form past double precision.
+        key = (200.0, 0.2, 200.0, 0.2, 0.5, 1.0)
         value, method, flag = evaluate_key(key, "numeric", SETTINGS)
         assert math.isnan(value)
         assert method == "numeric"
-        assert "DegenerateKernelError" in flag
+        assert flag.startswith("ComplexOverflowError: ")
 
     def test_success_has_empty_or_note_flag(self):
         key = (1.0, 0.2, 0.8, -0.1, 0.5, 1.0)
@@ -214,20 +216,8 @@ class TestSweepMap:
         assert np.array_equal(one.methods, par.methods)
 
     def test_failed_nodes_are_flagged_nan(self):
-        cfg = _theta_config(1.0, 0.0, 0.8, 0.0, 1.2, method="numeric")
-        grid = SweepGrid(
-            fixed=cfg,
-            axis1=("dtheta", 0.0, 1.0, 3),  # dtheta = 0 node is degenerate
-            axis2=("ell", 1.0, 2.0, 2),
-            quantity="correlator",
-        )
-        sweep = sweep_map(grid, workers=1)
-        assert np.isnan(sweep.values[0]).all()
-        assert all("DegenerateKernelError" in f for f in sweep.flags[0])
-        assert np.isfinite(sweep.values[1:]).all()
-
-    def test_max_node_ignores_nan(self):
-        cfg = _theta_config(1.0, 0.0, 0.8, 0.0, 1.2, method="numeric")
+        # Forced equal-time: only the dtheta = 0 nodes are coincident.
+        cfg = _theta_config(1.0, 0.0, 0.8, 0.0, 1.2, method="equal-time")
         grid = SweepGrid(
             fixed=cfg,
             axis1=("dtheta", 0.0, 1.0, 3),
@@ -235,6 +225,21 @@ class TestSweepMap:
             quantity="correlator",
         )
         sweep = sweep_map(grid, workers=1)
+        assert np.isfinite(sweep.values[0]).all()
+        assert np.isnan(sweep.values[1:]).all()
+        refusal = "SqueezeBellError: equal-time method requires a coincident transition pair"
+        assert all(f == refusal for f in sweep.flags[1:].ravel())
+
+    def test_max_node_ignores_nan(self):
+        cfg = _theta_config(1.0, 0.0, 0.8, 0.0, 1.2, method="equal-time")
+        grid = SweepGrid(
+            fixed=cfg,
+            axis1=("dtheta", 0.0, 1.0, 3),
+            axis2=("ell", 1.0, 2.0, 2),
+            quantity="correlator",
+        )
+        sweep = sweep_map(grid, workers=1)
+        assert np.isnan(sweep.values).any()
         value, i, j = sweep.max_node()
         assert math.isfinite(value)
         assert value == np.nanmax(sweep.values)
@@ -328,8 +333,7 @@ class TestRoundingNextToCoincidence:
         res = correlator_auto(TransitionSpec(a=pa, b=pb), SETTINGS)
         assert res.method == "equal-time"
         assert res.value == sign * correlator_auto(exact, SETTINGS).value
-        with pytest.raises(DegenerateKernelError):
-            correlator_numeric(TransitionSpec(a=pa, b=pb), SETTINGS)
+        assert correlator_numeric(TransitionSpec(a=pa, b=pb), SETTINGS) == res
 
 
 def _layout_grid(n, method):
@@ -379,6 +383,10 @@ class TestBenchmarkLayouts:
     series. Its digest, grid maximum, refined value and refinement count
     were recorded when that series replaced the band series there, and each
     of its entries must stay within 1e-13 of the band series on the same key.
+    The 241x241 map's were recorded when ``large-ell`` began reading Xi^-1
+    instead of Xi (entries moved by at most 4.4e-16, and an ulp-level tie
+    moved the grid maximum from node (240, 8)); each of its entries must
+    stay within 1e-15 of the same closed form in 50 digits.
 
     linspace leaves legs at some nodes 4.4e-16 from coincidence. Those legs
     share the coincident key; every other node keeps its value, which the
@@ -400,9 +408,9 @@ class TestBenchmarkLayouts:
         (61, "auto", 161, 27, "ea5b0a64ae7d88358933f3d287e867178b4a8897c7dd8a3a74d16218a5581004",
          (0.999892480581494, 0.9998924738306026), (3703.6017480738537, 3703.601723068552),
          (2.0878084089513615, 1, 2), 2.180295694284695, 97),
-        (241, "large-ell", 702, 125, "c3d61e0a98ff2dba4bdb7a73583461e85085aacd7fc31bc2023b2a59f6d1d337",
+        (241, "large-ell", 702, 125, "c4670f2e9cad8867a37b8706b8641dd20311e82cc4b12956c7f68a36149bbf12",
          (0.9999421950146574, 0.999942195014138), (58008.6466171903, 58008.64661716017),
-         (1.9998843900282766, 240, 8), 1.9998843900282766, 71),
+         (1.9998843900282763, 240, 10), 1.9998843900282766, 72),
     ]
 
     @pytest.mark.parametrize(
@@ -427,6 +435,10 @@ class TestBenchmarkLayouts:
             for k, (value, _, _) in others:
                 band = band_series_value(xi_matrix(bell._key_spec(k)), EvaluationSettings(ell=k[5]))[0]
                 assert abs(value - band) <= 1e-13, k
+        else:
+            for (ra, pa, rb, pb, dth, _), (value, _, _) in sweep.table.items():
+                ref = wide_bin_reference(ra, rb, pa + pb, dth + pa - pb, 50)
+                assert abs(value - ref) <= 1e-15, (ra, pa, rb, pb, dth)
         (key,) = [k for k in sweep.table if k[4] == 0.0]
         before, now = coincident
         assert sweep.table[key][0] == now

@@ -73,9 +73,9 @@ class TestExitCodes:
         assert capsys.readouterr().out == joined
 
     def test_bell_leg_failure_is_exit_2(self, capsys):
-        # Forced band series hits the degenerate coincident E(a, b) leg.
+        # Forced equal-time refuses the three legs that are not coincident.
         code = run(
-            ["bell", "--ra", "1", "--ell", "1", "--method", "numeric",
+            ["bell", "--ra", "1", "--ell", "1", "--method", "equal-time",
              "--thetaa", "0", "--thetaap", "0.8",
              "--thetab", "0", "--thetabp", "1.2"]
         )
@@ -154,8 +154,23 @@ class TestCorrelatorPayload:
         assert doc["n_bands_used"] > 0
 
     def test_refusal_names_the_error_type(self, capsys):
-        assert run(["correlator", "--ra", "1", "--ell", "1", "--method", "numeric"]) == 2
-        assert capsys.readouterr().err.startswith("error: DegenerateKernelError: ")
+        argv = ["correlator", "--ra", "200", "--phia", "0.3", "--dtheta", "0.5", "--ell", "1"]
+        assert run([*argv, "--method", "numeric"]) == 2
+        assert capsys.readouterr().err.startswith("error: ComplexOverflowError: ")
+
+    def test_scale_past_double_range_is_a_typed_refusal(self, capsys):
+        # e^800 leaves double precision; ``auto`` still picks a route, and
+        # the route names the cause.
+        assert run(["correlator", "--ra", "800", "--dtheta", "0.5", "--ell", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ComplexOverflowError: ")
+
+    def test_numeric_at_a_coincident_pair_is_the_auto_route(self, capsys):
+        argv = ["correlator", "--ra", "1", "--ell", "1", "--format", "json"]
+        assert run(argv) == 0
+        auto = capsys.readouterr().out
+        assert run([*argv, "--method", "numeric"]) == 0
+        assert capsys.readouterr().out == auto
+        assert json.loads(auto)["method"] == "equal-time"
 
     def test_forced_equal_time_half_turn_negates(self, capsys):
         base = ["correlator", "--ra", "1", "--phia", "0.2", "--ell", "1", "--method", "equal-time"]
@@ -253,17 +268,31 @@ class TestScans:
     def test_failed_nodes_flagged_without_breaking_csv(self, capsys):
         code = run(
             ["map", "--ra", "1", "--ell", "1", "--workers", "1",
-             "--method", "numeric",
+             "--method", "equal-time",
              "--axis1", "dtheta:0:1:3", "--axis2", "ell:1:2:2"]
         )
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         nan_rows = [l for l in lines[1:] if l.split(",")[2] == "nan"]
-        assert len(nan_rows) == 2  # the dtheta = 0 column is degenerate
+        assert len(nan_rows) == 4  # only the dtheta = 0 column is coincident
         for row in nan_rows:
             fields = row.split(",")
             assert len(fields) == 5
-            assert "DegenerateKernelError" in fields[4]
+            assert "equal-time method requires a coincident transition pair" in fields[4]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_scale_past_double_range_flagged(self, capsys, workers):
+        code = run(
+            ["map", "--ra", "1", "--ell", "1", "--dtheta", "0.5", "--workers", workers,
+             "--axis1", "r:1:800:3", "--axis2", "dtheta:0.2:1:2"]
+        )
+        assert code == 0
+        rows = [l.split(",") for l in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 6
+        for fields in rows:
+            failed = float(fields[0]) > 1.0
+            assert (fields[2] == "nan") == failed
+            assert fields[4].startswith("ComplexOverflowError: ") == failed
 
     def test_json_map(self, capsys):
         assert run([*self.MAP_ARGS, "--format", "json"]) == 0

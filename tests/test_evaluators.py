@@ -1,6 +1,7 @@
 """Correlator evaluators: regimes, symmetries, and cross-route agreement."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +11,10 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate, special
 
 from kernel_blocks import DETERMINANT_ROOTS
-from reference_forms import coeff_A, coeff_B, fock_amplitude, normalization
+from reference_forms import coeff_A, coeff_B, fock_amplitude, normalization, wide_bin_reference
 from squeezebell import cli
 from squeezebell.bell import evaluate
-from squeezebell.errors import (
-    ComplexOverflowError,
-    DegenerateKernelError,
-    MaxBandsExceededError,
-    NonConvergentXiError,
-)
+from squeezebell.errors import ComplexOverflowError, MaxBandsExceededError
 from squeezebell.evaluators import (
     EvaluationSettings,
     band_series_value,
@@ -34,9 +30,9 @@ from squeezebell.evaluators import (
     _dual_decay,
     _dual_order,
     _parity_fold,
-    _sign_operator_equal_time,
+    auto_method,
 )
-from squeezebell.kernel import XiInverse, XiMatrix, coincident_rates, xi_inverse, xi_matrix
+from squeezebell.kernel import XiInverse, XiMatrix, is_coincident, xi_inverse, xi_matrix
 from squeezebell.oracle import correlator_quadrature
 from squeezebell.state import SqueezeParams, TransitionSpec
 
@@ -45,6 +41,10 @@ angle_draw = st.floats(min_value=-math.pi, max_value=math.pi)
 
 def _spec(ra, pa, tha, rb, pb, thb=0.0):
     return TransitionSpec(a=SqueezeParams(ra, pa, tha), b=SqueezeParams(rb, pb, thb))
+
+
+def _coincident(r, phi, th=0.0):
+    return _spec(r, phi, th, r, phi)
 
 
 def _fock_equal_time(r: float, phi: float, ell: float, n_max: int = 60) -> float:
@@ -97,7 +97,7 @@ class TestEqualTime:
     def test_wide_bin_arcsin_limit_moderate(self):
         p = SqueezeParams(1.0, 0.2)
         val = correlator_equal_time(p, 1000.0 * math.e).value
-        assert abs(val - _sign_operator_equal_time(p)) <= 1e-12
+        assert abs(val - wide_bin_value(xi_inverse(_coincident(1.0, 0.2)))) <= 1e-12
 
     def test_wide_bin_arcsin_limit_deep_squeezing(self):
         p = SqueezeParams(5.0, 0.0)
@@ -212,14 +212,43 @@ class TestDeepSqueezeCoincident:
 
     @given(st.floats(min_value=0.0, max_value=3.0), angle_draw)
     def test_rates_match_wavefunction_coefficients(self, r, phi):
-        # Where the tanh form is accurate, the rates are its exponent in the
-        # rotated coordinates and their product sets the normalization.
+        # Where the tanh form is accurate, the decay rates 1/(c + p) and
+        # 1/(c - p) that the equal-time path reads from the coincident
+        # pair's Xi^-1 are its exponent in the rotated coordinates, and
+        # their product sets the normalization.
         a, b = coeff_A(r, phi).real, coeff_B(r, phi).real
-        lam_u, lam_v = coincident_rates(r, phi)
+        inv = xi_inverse(_coincident(r, phi))
+        wide = inv.ch_a + abs(inv.p.real)
+        lam_u, lam_v = 1.0 / wide, wide / inv.gap
+        if inv.p.real < 0.0:
+            lam_u, lam_v = lam_v, lam_u
         assert abs(lam_u + (a + b)) <= 1e-13 * (abs(a) + abs(b))
         assert abs(lam_v + (a - b)) <= 1e-13 * (abs(a) + abs(b))
         n2 = abs(normalization(SqueezeParams(r, phi))) ** 2
         assert math.sqrt(lam_u * lam_v) / math.pi == pytest.approx(n2, rel=1e-13)
+
+
+class TestCoincidentForm:
+    """A coincident pair's Xi^-1 is the snapshot's density, so the routes
+    that read the form agree with the equal-time path there."""
+
+    INPUTS = [(0.5, 0.3, 1.0), (1.0, 0.0, 2.0), (2.0, 0.2, 3.0), (3.0, 0.0, 5.0), (5.0, 0.0, 10.0)]
+
+    @pytest.mark.parametrize("r, phi, ell", INPUTS)
+    def test_dual_series_is_equal_time(self, r, phi, ell):
+        value = dual_series_value(xi_inverse(_coincident(r, phi)), ell)[0]
+        assert abs(value - correlator_equal_time(SqueezeParams(r, phi), ell).value) <= 1e-13
+
+    @pytest.mark.parametrize("r, phi, ell", [*INPUTS[:3], (1.5, -0.4, 0.8)])
+    def test_oracle_is_equal_time(self, r, phi, ell):
+        value = correlator_quadrature(_coincident(r, phi), ell)
+        assert abs(value - correlator_equal_time(SqueezeParams(r, phi), ell).value) <= 1e-12
+
+    @pytest.mark.parametrize("r, phi, ell", INPUTS)
+    def test_small_ell_within_its_bound(self, r, phi, ell):
+        res = correlator_small_ell(_coincident(r, phi), ell)
+        equal = correlator_equal_time(SqueezeParams(r, phi), ell).value
+        assert abs(res.value - equal) <= res.error_estimate
 
 
 class TestNumeric:
@@ -246,15 +275,17 @@ class TestNumeric:
         r1 = correlator_numeric(_spec(1.3, 0.2, 0.5, 0.8, -0.1, 0.0), st_)
         assert r0.value == r1.value
 
-    def test_coincident_pair_refused(self):
-        # By every route that needs Xi.
-        spec = _spec(1.0, 0.2, 0.0, 1.0, 0.2)
-        with pytest.raises(DegenerateKernelError):
-            correlator_numeric(spec, EvaluationSettings(ell=1.0))
-        with pytest.raises(DegenerateKernelError):
-            correlator_small_ell(spec, 1.0)
-        with pytest.raises(DegenerateKernelError):
-            correlator_quadrature(spec, 1.0)
+    def test_coincident_pair_takes_equal_time(self):
+        # Bit for bit what ``auto`` returns, the equal-time path, and the
+        # half-turn image negated.
+        for r, phi, ell in [(1.0, 0.2, 1.0), (5.0, 0.0, 100.0), (0.0, 0.7, 2.0)]:
+            st_ = EvaluationSettings(ell=ell)
+            res = correlator_numeric(_coincident(r, phi), st_)
+            assert res == correlator_auto(_coincident(r, phi), st_)
+            assert (res.method, res.degenerate_path) == ("equal-time", True)
+            flip = correlator_numeric(_coincident(r, phi, math.pi), st_)
+            assert flip == replace(res, value=-res.value)
+            assert numeric_series(_coincident(r, phi), ell) == "equal-time"
 
     def test_determinant_roots_evaluated_in_place(self):
         # Where a factor of the kernel determinant vanishes but the pair is
@@ -390,30 +421,41 @@ class TestLargeEll:
         assert abs(a - b) <= 1e-8
 
     def test_wide_bin_closed_form(self):
-        # xi12 = -1/2 on the unit diagonal: arctan(-1/2 / sqrt(3)/2) = -pi/6.
-        xi = XiMatrix(xi11=-1.0, xi22=-1.0, xi12=-0.5)
-        assert wide_bin_value(xi) == pytest.approx(-1.0 / 3.0, abs=1e-14)
-        xi0 = XiMatrix(xi11=-1.0, xi22=-1.0, xi12=0.0)
-        assert wide_bin_value(xi0) == 0.0
+        # p = -1/2 on the unit diagonal: det = 3/4 and
+        # arctan(-1/2 / sqrt(3)/2) = -pi/6.
+        inv = XiInverse(ch_a=1.0, ch_b=1.0, p=-0.5 + 0j, gap=0.75)
+        assert wide_bin_value(inv) == pytest.approx(-1.0 / 3.0, abs=1e-14)
+        inv0 = XiInverse(ch_a=1.0, ch_b=1.0, p=0j, gap=1.0)
+        assert wide_bin_value(inv0) == 0.0
 
     def test_coincident_delegates_to_arcsin_limit(self):
-        spec = _spec(1.4, 0.3, 0.0, 1.4, 0.3)
-        res = correlator_large_ell(spec)
+        # The snapshot's quadrant masses give (2/pi) arcsin(p / c).
+        res = correlator_large_ell(_coincident(1.4, 0.3))
         assert res.degenerate_path
-        assert res.value == pytest.approx(
-            _sign_operator_equal_time(spec.a), abs=1e-14
-        )
+        arcsin = (2.0 / math.pi) * math.asin(math.cos(0.6) * math.tanh(2.8))
+        assert res.value == pytest.approx(arcsin, abs=1e-14)
+
+    @pytest.mark.parametrize("seed, r_lo, r_hi", [(0, 4.0, 5.0), (1, 8.0, 10.0), (2, 15.0, 20.0)])
+    def test_near_loci_matches_extended_precision(self, seed, r_lo, r_hi):
+        # Within 1e-6 ... 1e-2 of dtheta = 0 and dtheta = +-(phi_a - phi_b),
+        # against the same closed form in 60 digits on the angle sums the
+        # kernel forms.
+        rng = np.random.default_rng(seed)
+        for _ in range(400):
+            ra, rb = rng.uniform(r_lo, r_hi, size=2)
+            pa, pb = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=2)
+            locus = (0.0, pa - pb, pb - pa)[rng.integers(3)]
+            dth = locus + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, -2.0)
+            got = correlator_large_ell(_spec(ra, pa, dth, rb, pb)).value
+            delta, sign = _parity_fold(dth)
+            ref = sign * wide_bin_reference(ra, rb, pa + pb, delta + pa - pb, 60)
+            assert abs(got - ref) <= 2e-15, (ra, pa, rb, pb, dth)
 
     def test_approaches_infinite_squeezing_form(self):
         spec = _spec(10.0, 0.3, 0.4, 10.0, -0.1)
         a = correlator_large_ell(spec).value
         b = correlator_large_ell_large_squeeze(0.3, -0.1, 0.4).value
         assert abs(a - b) <= 1e-7
-
-    def test_non_convergent_form_rejected(self):
-        bad = XiMatrix(xi11=1.0, xi22=-1.0, xi12=0.0)
-        with pytest.raises(NonConvergentXiError, match=r"Re\(Xi11\) >= 0"):
-            wide_bin_value(bad)
 
 
 class TestLargeSqueeze:
@@ -462,7 +504,51 @@ class TestLargeSqueeze:
         assert abs(val) <= 1.0 + 1e-12
 
 
+def _route_before(spec, ell):
+    """``auto_method`` as first written, with e^r in floating point; it
+    overflows past r ~ 709.8."""
+    if is_coincident(spec):
+        return "equal-time"
+    if ell < 0.01 * math.exp(min(spec.a.r, spec.b.r)):
+        return "small-ell"
+    if ell > 100.0 * math.exp(max(spec.a.r, spec.b.r)):
+        return "large-ell"
+    return "numeric"
+
+
 class TestAutoDispatch:
+    def test_route_unchanged_where_the_scale_is_finite(self):
+        # Seeded draws across r in [0, 709], with bins around both
+        # thresholds and exactly on them, and a share of coincident pairs.
+        rng = np.random.default_rng(11)
+        for _ in range(3000):
+            top = (5.0, 20.0, 709.0)[rng.integers(3)]
+            ra, rb = rng.uniform(0.0, top, size=2)
+            pa, pb, dth = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=3)
+            if rng.random() < 0.1:
+                rb, pb, dth = ra, pa, 0.0
+            r = (min(ra, rb), max(ra, rb))[rng.integers(2)]
+            factor = (0.01, 100.0)[rng.integers(2)]
+            ell = factor * math.exp(r)
+            ell = (ell, math.nextafter(ell, 0.0), math.nextafter(ell, math.inf))[rng.integers(3)]
+            ell *= 10.0 ** rng.uniform(-3.0, 3.0) if rng.random() < 0.5 else 1.0
+            spec = _spec(ra, pa, dth, rb, pb)
+            assert auto_method(spec, ell) == _route_before(spec, ell)
+
+    @pytest.mark.parametrize(
+        "ra, rb, ell, route",
+        [(800.0, 800.0, 1.0, "small-ell"), (800.0, 1.0, 1.0, "numeric"), (1.0, 800.0, 1e300, "numeric")],
+    )
+    def test_scale_past_double_range_routes_to_a_typed_refusal(self, ra, rb, ell, route):
+        # e^r leaves double precision past r ~ 709.8. The route reads it as
+        # an infinite scale, and the route's evaluator names the cause.
+        spec = _spec(ra, 0.0, 0.5, rb, 0.0)
+        with pytest.raises(OverflowError):
+            _route_before(spec, ell)
+        assert auto_method(spec, ell) == route
+        with pytest.raises(ComplexOverflowError, match="leaves double precision"):
+            correlator_auto(spec, EvaluationSettings(ell=ell))
+
     def test_regime_selection(self):
         spec = _spec(5.0, -0.2, 0.5, 5.0, 0.3)
         picks = {

@@ -6,7 +6,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from kernel_blocks import (
@@ -16,7 +16,7 @@ from kernel_blocks import (
     passive_block_determinant,
 )
 from squeezebell.complexfn import principal_sqrt
-from squeezebell.errors import ComplexOverflowError, DegenerateKernelError, SqueezeBellError
+from squeezebell.errors import ComplexOverflowError, SqueezeBellError
 from squeezebell.evaluators import (
     correlator_large_ell,
     correlator_large_ell_large_squeeze,
@@ -110,11 +110,7 @@ class TestReducedForm:
         angle_draw,
     )
     def test_convergence_conditions_hold_generically(self, ra, pa, rb, pb, dth):
-        spec = _spec(ra, pa, dth, rb, pb, 0.0)
-        try:
-            xi = xi_matrix(spec)
-        except DegenerateKernelError:
-            assume(False)
+        xi = xi_matrix(_spec(ra, pa, dth, rb, pb, 0.0))
         require_converged(xi)
         assert all(v < 0.0 for v in convergence_conditions(xi))
 
@@ -133,10 +129,7 @@ class TestReducedForm:
 
     @given(r_draw, angle_draw, r_draw, angle_draw, angle_draw)
     def test_angle_negation_conjugates(self, ra, pa, rb, pb, dth):
-        try:
-            xi = xi_matrix(_spec(ra, pa, dth, rb, pb, 0.0))
-        except DegenerateKernelError:
-            assume(False)
+        xi = xi_matrix(_spec(ra, pa, dth, rb, pb, 0.0))
         neg = xi_matrix(_spec(ra, -pa, -dth, rb, -pb, 0.0))
         assert neg.xi11 == xi.xi11.conjugate()
         assert neg.xi22 == xi.xi22.conjugate()
@@ -165,19 +158,30 @@ class TestReducedForm:
         assert abs(xi.xi22 - e22) <= 1e-12 * abs(e22)
         assert abs(xi.xi12 - e12) <= 1e-12 * abs(e12)
 
-    def test_only_coincident_pairs_refused(self):
-        # A coincident pair and its half-turn image refuse. Where only
-        # f_M vanishes (phi_a - phi_b = pi/2 at zero angle difference, and
-        # roots of g_s or g_c) Xi is finite and continuous: it matches the
-        # midpoint of its neighbours, and the extended-precision chain,
-        # which divides by f_M and so keeps only about 12 digits here.
-        for spec in (
-            _spec(0.9, 0.0, 0.0, 0.9, 0.0, 0.0),
-            _spec(1.3, 0.4, 0.9, 1.3, 0.4, 0.9),
-            _spec(1.3, 0.4, math.pi, 1.3, 0.4, 0.0),
+    def test_no_pair_refused(self):
+        # Where f_M vanishes, Xi is finite and continuous: it matches the
+        # midpoint of its neighbours. A coincident pair and its half-turn
+        # image give minus the inverse covariance (1/2) [[c, +-p], [+-p, c]]
+        # of the snapshot's density, c = cosh 2r and p = cos(2 phi) sinh 2r.
+        # At the other roots (phi_a - phi_b = pi/2 at zero angle
+        # difference, and roots of g_s or g_c) Xi also matches the
+        # extended-precision chain, which divides by f_M and so keeps only
+        # about 12 digits there.
+        for r, phi, tha, thb, sign in (
+            (0.9, 0.0, 0.0, 0.0, 1.0),
+            (1.3, 0.4, 0.9, 0.9, 1.0),
+            (1.3, 0.4, math.pi, 0.0, -1.0),
         ):
-            with pytest.raises(DegenerateKernelError, match="coincident"):
-                xi_matrix(spec)
+            spec = _spec(r, phi, tha, r, phi, thb)
+            assert abs(kernel_determinant(spec)) <= 1e-14
+            xi = xi_matrix(spec)
+            c, p = math.cosh(2.0 * r), sign * math.cos(2.0 * phi) * math.sinh(2.0 * r)
+            ref = (-2.0 * c / (c * c - p * p), -2.0 * c / (c * c - p * p), 2.0 * p / (c * c - p * p))
+            assert _relative_error(xi, ref) <= 1e-13
+            lo, hi = (xi_matrix(_spec(r, phi, tha + h, r, phi, thb)) for h in (-1e-8, 1e-8))
+            for name in ("xi11", "xi22", "xi12"):
+                mid = 0.5 * (getattr(lo, name) + getattr(hi, name))
+                assert abs(getattr(xi, name) - mid) <= 1e-11
         for ra, pa, rb, pb, _, dth in DETERMINANT_ROOTS:
             assert abs(kernel_determinant(_spec(ra, pa, dth, rb, pb, 0.0))) <= 1e-14
             xi = xi_matrix(_spec(ra, pa, dth, rb, pb, 0.0))

@@ -22,7 +22,7 @@ from squeezebell.evaluators import (
     correlator_small_ell,
     wide_bin_value,
 )
-from squeezebell.kernel import xi_determinant, xi_matrix
+from squeezebell.kernel import xi_determinant, xi_inverse, xi_matrix
 from squeezebell.oracle import build_M, correlator_quadrature, theta_partial
 from squeezebell.state import SqueezeParams, TransitionSpec
 
@@ -87,8 +87,9 @@ class TestWideBinQuadrantComposition:
     def test_signed_quadrant_sum_equals_closed_form(self):
         # The ell -> infinity limit is the checkerboard reduced to four
         # quadrants; composing quadrant Gaussians must reproduce the
-        # arctan closed form exactly.
-        xi = xi_matrix(_spec(1.0, 0.3, 0.4, 0.8, -0.2))
+        # arctan closed form, which reads Xi^-1, exactly.
+        spec = _spec(1.0, 0.3, 0.4, 0.8, -0.2)
+        xi = xi_matrix(spec)
         a, b, c = -0.5 * xi.xi11, -0.5 * xi.xi12, -0.5 * xi.xi22
         comp = (
             quadrant_gaussian(a, b, c, "PP")
@@ -97,7 +98,7 @@ class TestWideBinQuadrantComposition:
             - quadrant_gaussian(a, b, c, "PM")
         )
         pref = principal_sqrt(xi_determinant(xi)) / (2.0 * math.pi)
-        assert (pref * comp).real == pytest.approx(wide_bin_value(xi), abs=1e-14)
+        assert (pref * comp).real == pytest.approx(wide_bin_value(xi_inverse(spec)), abs=1e-14)
 
 
 class TestThetaPartial:
