@@ -23,7 +23,11 @@ class ComplexOverflowError(SqueezeBellError):
 
 
 class NonConvergentXiError(SqueezeBellError):
-    """Reduced quadratic form violates the band-integral convergence conditions."""
+    """A series does not settle: the band series' inner erfc sum, or the dual series.
+
+    Every form the kernel returns meets the band integral's convergence
+    conditions, so this never reports the form itself.
+    """
 
 
 class MaxBandsExceededError(SqueezeBellError):

@@ -2,14 +2,15 @@
 
 The two-time correlator of the sign-binned quadrature observable is, after
 kernel reduction, the checkerboard expectation of a two-variable Gaussian
-with the reduced quadratic form Xi. Five evaluation routes are provided:
+with the reduced quadratic form Xi. Every route reads the form as
+``kernel.xi_inverse`` gives it, Xi^-1. Five evaluation routes are provided:
 
 - ``numeric``: an exact series, picked a priori by its cost. The band
   series (erfc inner sum, adaptive outer quadrature) sums over bands of
   width ell and is cheap for bins about as wide as the state, e^r, or
   wider. Its Poisson (Jacobi theta) dual sums over the odd harmonics of
-  the square wave (-1)^floor(q/ell), reads only Xi^-1 and is cheap for
-  bins narrower than the state. Both are reference-quality.
+  the square wave (-1)^floor(q/ell) and is cheap for bins narrower than
+  the state. Both are reference-quality.
 - ``small-ell``: narrow-bin asymptote, the dual series cut to one term.
 - ``large-ell``: closed-form wide-bin limit (only the four central cells
   survive; quadrant Gaussian closed forms).
@@ -19,10 +20,11 @@ with the reduced quadratic form Xi. Five evaluation routes are provided:
   coincident pair, whose decay rates are read from ``kernel.xi_inverse``
   of that pair.
 
-``auto`` dispatches on bin width relative to the squeezing scale e^r
-(``auto_method``); ``numeric_series`` tells which series ``numeric`` runs,
-so a caller can tell the cheap keys from the quadratures before running
-any.
+``auto`` (``auto_method``) takes the equal-time path at a coincident pair,
+the wide-bin form for bins over 100 times the squeezing scale e^r, and
+``numeric`` everywhere else; ``numeric_series`` tells which series
+``numeric`` runs, so a caller can tell the cheap keys from the quadratures
+before running any.
 
 Coincidence is decided once, by ``kernel.is_coincident`` on the folded
 pair, and refuses nothing: Xi^-1 there is the snapshot's density (see
@@ -55,12 +57,11 @@ from .complexfn import principal_arctan, principal_sqrt
 from .errors import ComplexOverflowError, MaxBandsExceededError, NonConvergentXiError
 from .kernel import (
     XiInverse,
-    XiMatrix,
     is_coincident,
     large_squeeze_zeta,
-    series_prefactor,
     xi_inverse,
-    xi_matrix,
+    xi_matrix,  # noqa: F401  (perfbench/tracing.py wraps it here)
+    xi_of_inverse,
 )
 from .quadrature import adaptive_1d, geometric_panels
 from .state import SqueezeParams, TransitionSpec
@@ -79,7 +80,6 @@ __all__ = [
     "band_series_value",
     "dual_series_value",
     "wide_bin_value",
-    "require_converged",
 ]
 
 # A folded angle difference at most this far from zero is rounding, not a
@@ -161,29 +161,6 @@ class CorrelatorResult:
     notes: tuple[str, ...] = ()
 
 
-def _conditions(xi: XiMatrix):
-    """(name, value) of the four convergence conditions, each met when value < 0.
-
-    Lazy, so each Schur complement is formed only after its divisor's real
-    part has been read.
-    """
-    x11, x22, x12 = xi.xi11, xi.xi22, xi.xi12
-    yield "Re(Xi11)", x11.real
-    yield "Re(Xi22)", x22.real
-    yield "Re(Xi11 - Xi12^2/Xi22)", (x11 - x12 * x12 / x22).real
-    yield "Re(Xi22 - Xi12^2/Xi11)", (x22 - x12 * x12 / x11).real
-
-
-def require_converged(xi: XiMatrix) -> None:
-    """Raise NonConvergentXiError naming the first violated condition, if any.
-
-    A non-finite value violates its condition.
-    """
-    for name, value in _conditions(xi):
-        if not (value < 0.0 and math.isfinite(value)):
-            raise NonConvergentXiError(f"{name} >= 0: convergence condition violated")
-
-
 def _parity_fold(dth: float) -> tuple[float, float]:
     """Fold dth = k pi + delta onto delta in [-pi/2, pi/2]; returns (delta, (-1)^k).
 
@@ -213,9 +190,9 @@ def _parity_reduce(spec: TransitionSpec) -> tuple[TransitionSpec, float]:
 
 
 def band_series_value(
-    xi: XiMatrix, settings: EvaluationSettings
+    inv: XiInverse, settings: EvaluationSettings
 ) -> tuple[float, int, int, float]:
-    """Resummed band series for a given reduced quadratic form.
+    """Resummed band series for the reduced quadratic form Xi, given as Xi^-1.
 
     Returns (value, n_bands_used, series_terms_used, quadrature_error).
     The inner lattice direction is resummed into an alternating erfc
@@ -223,13 +200,22 @@ def band_series_value(
     no intermediate factor overflows; the outer direction is integrated
     band by band with adaptive Gauss-Kronrod panels refined toward the
     origin, where all the integrand structure lives.
+
+    Two quantities are read off Xi^-1 = -(1/2) [[ch_b, p], [p, ch_a]]
+    rather than from Xi's entries, which are of size e^{2r} near the
+    maximal-correlation locus and would cancel there: the erfc envelope's
+    Schur complement xi11 - xi12^2/xi22 = -2 / ch_b, and the prefactor
+    sqrt(det Xi) / (sqrt(2 pi) sqrt(-xi22)) = 1 / sqrt(pi ch_b), with
+    det Xi = 4 / det and -xi22 = 2 ch_b / det. Every form ``xi_inverse``
+    returns converges (``XiMatrix``), so nothing is checked up front.
     """
-    require_converged(xi)
     ell = settings.ell
+    xi = xi_of_inverse(inv)
     x11, x22, x12 = xi.xi11, xi.xi22, xi.xi12
     s = principal_sqrt(-0.5 * x22)
     ratio = x12 / x22
-    pref = series_prefactor(xi)
+    schur = -2.0 / inv.ch_b
+    pref = 1.0 / math.sqrt(math.pi * inv.ch_b)
     scale = 1.0 / math.sqrt(max(abs(x11), abs(x22), abs(x12), 1e-300))
     m_abs_tol = 1e-12
     max_m_terms = 1_000_000
@@ -249,7 +235,7 @@ def band_series_value(
         nonlocal terms_used
         Y = sign * y
         out = np.zeros(Y.shape, dtype=complex)
-        env2 = 2.0 * np.exp(0.5 * (x11 - x12 * x12 / x22) * Y * Y)
+        env2 = 2.0 * np.exp(0.5 * schur * Y * Y)
         ex_y = 0.5 * x11 * (Y * Y)
         z_y = ratio * Y
         m0 = 0
@@ -314,8 +300,7 @@ def band_series_value(
         else:
             small_streak = 0
 
-    value = (pref * total).real
-    return value, 2 * k, terms_used, abs(pref) * quad_err
+    return pref * total.real, 2 * k, terms_used, pref * quad_err
 
 
 def _dual_decay(inv: XiInverse, ell: float) -> float:
@@ -460,7 +445,7 @@ def correlator_numeric(spec: TransitionSpec, settings: EvaluationSettings) -> Co
             series_terms_used=n_odd,
             error_estimate=bound,
         )
-    value, n_bands, n_terms, qerr = band_series_value(xi_matrix(spec), settings)
+    value, n_bands, n_terms, qerr = band_series_value(inv, settings)
     return CorrelatorResult(
         value=parity * value,
         method="numeric",
@@ -634,16 +619,16 @@ def _state_width(r: float) -> float:
 def auto_method(spec: TransitionSpec, ell: float) -> str:
     """The method ``correlator_auto`` runs for the parity-folded pair.
 
-    Coincident pairs take the equal-time path; otherwise the bin width
-    against the squeezing scale e^r picks the narrow-bin form
-    (ell < 0.01 min e^r), the wide-bin form (ell > 100 max e^r) or
-    ``numeric``. A scale past double precision counts as infinite, so the
-    route's own evaluator names the refusal.
+    Coincident pairs take the equal-time path, bins wider than
+    100 max e^r the wide-bin closed form, and every other pair ``numeric``.
+    Narrow bins take ``numeric`` too: wherever the bound on the terms
+    ``small-ell`` omits is under _DUAL_TAIL_TOL, the dual series ``numeric``
+    sums is that one term, and next to the maximal-correlation locus, where
+    the bound is large, ``numeric`` sums as many terms as it needs. A scale past double precision counts
+    as infinite, so the route's own evaluator names the refusal.
     """
     if is_coincident(spec):
         return "equal-time"
-    if ell < 0.01 * _state_width(min(spec.a.r, spec.b.r)):
-        return "small-ell"
     if ell > 100.0 * _state_width(max(spec.a.r, spec.b.r)):
         return "large-ell"
     return "numeric"
@@ -655,8 +640,6 @@ def correlator_auto(spec: TransitionSpec, settings: EvaluationSettings) -> Corre
     method = auto_method(spec, settings.ell)
     if method == "equal-time":
         res = _coincident_equal_time(spec, settings.ell)
-    elif method == "small-ell":
-        res = correlator_small_ell(spec, settings.ell)
     elif method == "large-ell":
         res = correlator_large_ell(spec)
     else:

@@ -49,7 +49,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .complexfn import principal_sqrt
 from .errors import ComplexOverflowError
 from .state import TransitionSpec
 
@@ -58,21 +57,24 @@ __all__ = [
     "XiInverse",
     "is_coincident",
     "xi_inverse",
+    "xi_of_inverse",
     "xi_matrix",
     "large_squeeze_zeta",
-    "xi_determinant",
-    "series_prefactor",
 ]
 
 
 @dataclass(frozen=True)
 class XiMatrix:
-    """Reduced 2x2 complex quadratic form.
+    """Reduced 2x2 complex quadratic form, formed from Xi^-1 by ``xi_of_inverse``.
 
     The band series integrates exp((xi11 Y1^2 + 2 xi12 Y1 Y2 + xi22 Y2^2)/2);
     it converges when Re xi11, Re xi22 and the real parts of the two Schur
-    complements xi11 - xi12^2/xi22 and xi22 - xi12^2/xi11 are all negative
-    (``evaluators.require_converged`` checks them).
+    complements xi11 - xi12^2/xi22 and xi22 - xi12^2/xi11 are all negative.
+    Every form ``xi_inverse`` returns meets the four by construction. With
+    ch_a, ch_b and det those of ``XiInverse``,
+    Re xi11 = -2 ch_a Re(det) / |det|^2 and Re xi22 = -2 ch_b Re(det) / |det|^2
+    are negative since Re det >= 1, and the Schur complements are the
+    reciprocals of Xi^-1's diagonal, -2 / ch_b and -2 / ch_a.
     """
 
     xi11: complex
@@ -145,16 +147,23 @@ def xi_inverse(spec: TransitionSpec) -> XiInverse:
     return XiInverse(ch_a, ch_b, p, gap)
 
 
+def xi_of_inverse(inv: XiInverse) -> XiMatrix:
+    """Xi = -2 [[ch_a, -p], [-p, ch_b]] / det, the inverse of ``inv``.
+
+    xi11 belongs to the later-argument (b) side and xi22 to the earlier (a)
+    side.
+    """
+    f = 2.0 / inv.det
+    return XiMatrix(-f * inv.ch_a, -f * inv.ch_b, f * inv.p)
+
+
 def xi_matrix(spec: TransitionSpec) -> XiMatrix:
     """Reduce the 4x4 two-time quadratic form to the observable 2x2 block.
 
-    Xi = 2 (S^-1 + M^-1)^-1, the inverse of ``xi_inverse``; xi11 belongs to
-    the later-argument (b) side and xi22 to the earlier (a) side. A form
-    that leaves double precision raises ComplexOverflowError.
+    Xi = 2 (S^-1 + M^-1)^-1, the inverse of ``xi_inverse``. A form that
+    leaves double precision raises ComplexOverflowError.
     """
-    inv = xi_inverse(spec)
-    f = 2.0 / inv.det
-    return XiMatrix(-f * inv.ch_a, -f * inv.ch_b, f * inv.p)
+    return xi_of_inverse(xi_inverse(spec))
 
 
 def _xi_extended(
@@ -236,19 +245,3 @@ def large_squeeze_zeta(phi_a: float, phi_b: float, dtheta: float) -> complex:
     The one angle combination that survives infinite squeezing.
     """
     return cmath.exp(1j * dtheta) * (cmath.exp(2j * phi_a) + cmath.exp(-2j * phi_b))
-
-
-def xi_determinant(xi: XiMatrix) -> complex:
-    return xi.xi11 * xi.xi22 - xi.xi12 * xi.xi12
-
-
-def series_prefactor(xi: XiMatrix) -> complex:
-    """Band-series prefactor sqrt(det Xi) / (sqrt(2 pi) sqrt(-xi22)).
-
-    Principal branches are safe here: the convergence conditions put
-    -xi22 and det Xi in the right half-plane composition the closed-form
-    reduction assumes.
-    """
-    return principal_sqrt(xi_determinant(xi)) / (
-        math.sqrt(2.0 * math.pi) * principal_sqrt(-xi.xi22)
-    )

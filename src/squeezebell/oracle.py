@@ -19,8 +19,7 @@ import numpy as np
 
 from .complexfn import principal_sqrt
 from .errors import BudgetExceededError, DivergentSeriesError
-from .evaluators import require_converged
-from .kernel import xi_determinant, xi_matrix
+from .kernel import xi_inverse, xi_matrix
 from .quadrature import adaptive_cells_2d
 from .state import TransitionSpec
 
@@ -107,7 +106,6 @@ def correlator_quadrature(
     if not (math.isfinite(ell) and ell > 0):
         raise ValueError(f"ell must be finite and > 0, got {ell!r}")
     xi = xi_matrix(spec)
-    require_converged(xi)
     floor_n = math.ceil(12.0 * max(math.exp(spec.a.r), math.exp(spec.b.r)) / ell)
     if n_max is None:
         n_max = floor_n
@@ -155,7 +153,8 @@ def correlator_quadrature(
             max_evaluations=CELL_BUDGET * 300,
         )
         total += sign * val
-    pref = principal_sqrt(xi_determinant(xi)) / (2.0 * math.pi)
+    # sqrt(det Xi) / (2 pi), with det Xi = 4 / det read off Xi^-1.
+    pref = 1.0 / (math.pi * principal_sqrt(xi_inverse(spec).det))
     return float((pref * total).real)
 
 

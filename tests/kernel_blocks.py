@@ -7,6 +7,12 @@ passive block P = (S + M) / 2 from the closed-form inverses given in the
 checks those formulas against the 12x12 system, and restate the factored
 f_M, which they check against the 12x12 system and the derivation's
 expanded form.
+
+The runtime reads det Xi, the band-series prefactor and the Schur
+complements off Xi^-1. ``xi_determinant``, ``series_prefactor`` and
+``convergence_conditions`` form the same quantities from Xi's entries in
+floating point, as the band series once did, so the tests can hold the
+closed forms to them.
 """
 
 import cmath
@@ -14,6 +20,7 @@ import math
 
 import numpy as np
 
+from squeezebell.complexfn import principal_sqrt
 from squeezebell.state import TransitionSpec
 
 # (r_a, phi_a, r_b, phi_b, ell, dtheta) where a factor of f_M vanishes but
@@ -77,3 +84,14 @@ def convergence_conditions(xi) -> tuple[float, float, float, float]:
     """
     x11, x22, x12 = xi.xi11, xi.xi22, xi.xi12
     return x11.real, x22.real, (x11 - x12 * x12 / x22).real, (x22 - x12 * x12 / x11).real
+
+
+def xi_determinant(xi) -> complex:
+    return xi.xi11 * xi.xi22 - xi.xi12 * xi.xi12
+
+
+def series_prefactor(xi) -> complex:
+    """Band-series prefactor sqrt(det Xi) / (sqrt(2 pi) sqrt(-xi22)), on principal branches."""
+    return principal_sqrt(xi_determinant(xi)) / (
+        math.sqrt(2.0 * math.pi) * principal_sqrt(-xi.xi22)
+    )

@@ -32,7 +32,7 @@ from squeezebell.evaluators import (
     correlator_numeric,
     numeric_series,
 )
-from squeezebell.kernel import xi_matrix
+from squeezebell.kernel import xi_inverse
 from squeezebell.state import SqueezeParams, TransitionSpec
 
 SETTINGS = EvaluationSettings(ell=2.0)
@@ -433,7 +433,7 @@ class TestBenchmarkLayouts:
         assert hashlib.sha256(repr(others).encode()).hexdigest() == digest
         if method == "auto":
             for k, (value, _, _) in others:
-                band = band_series_value(xi_matrix(bell._key_spec(k)), EvaluationSettings(ell=k[5]))[0]
+                band = band_series_value(xi_inverse(bell._key_spec(k)), EvaluationSettings(ell=k[5]))[0]
                 assert abs(value - band) <= 1e-13, k
         else:
             for (ra, pa, rb, pb, dth, _), (value, _, _) in sweep.table.items():

@@ -32,7 +32,7 @@ from squeezebell.evaluators import (
     _parity_fold,
     auto_method,
 )
-from squeezebell.kernel import XiInverse, XiMatrix, is_coincident, xi_inverse, xi_matrix
+from squeezebell.kernel import XiInverse, is_coincident, xi_inverse
 from squeezebell.oracle import correlator_quadrature
 from squeezebell.state import SqueezeParams, TransitionSpec
 
@@ -305,48 +305,42 @@ class TestNumeric:
         # band cap is checked on the band series itself.
         spec = _spec(2.0, 0.3, 0.7, 2.0, -0.2)
         with pytest.raises(MaxBandsExceededError):
-            band_series_value(xi_matrix(spec), EvaluationSettings(ell=0.05, max_bands=2))
+            band_series_value(xi_inverse(spec), EvaluationSettings(ell=0.05, max_bands=2))
 
-    # (spec, ell) -> (repr of value, n_bands_used, series_terms_used, Xi),
-    # recorded before the erfc bracket was rewritten to one erfcx call per
-    # block; Xi holds the reduced form's entries those values were computed
-    # from. The rewrite applies the same operations to every element, so
-    # the band series on that Xi must match to the bit. The closed-form Xi
-    # that replaced the elimination chain differs from it by rounding, so
-    # the band series on it stays within 1e-13 with the same bands and
-    # terms. ``numeric`` takes the dual series at every one of these
-    # inputs, which must land within 1e-13 of the same values.
+    # (spec, ell) -> (repr of value, n_bands_used, series_terms_used, Xi^-1,
+    # repr of the band series on it). The first value was recorded when Xi
+    # came from the elimination chain. The band series on the closed-form
+    # Xi^-1 differs from it by rounding, so it stays within 1e-13 with the
+    # same bands and terms; ``numeric`` takes the dual series at every one
+    # of these inputs, which must land within 1e-13 of the same values.
+    # Xi^-1 holds (ch_a, ch_b, p, gap) of each spec, and the last repr is
+    # the band series on that Xi^-1, recorded when the series began to read
+    # its Schur complement and prefactor off Xi^-1; it must match to the bit.
     PINNED = [
         ((5.0, 0.0, 0.3, 5.0, 0.0), 100.0, ("-0.025664542870301968", 18, 32, (
-            -9.07998636238074e-05 - 0.00029353126073134014j,
-            -9.07998636238074e-05 - 0.00029353126073134014j,
-            4.094562792781827e-12 + 0.00030725431727202367j))),
+            11013.232920103324, 11013.232920103324,
+            10521.343228441845 + 3254.6328551418055j, 1.0), "-0.025664542870302")),
         ((5.0, 0.0, 1.0, 5.0, 0.0), 100.0, ("-0.009217729118904738", 18, 32, (
-            -9.079985986644169e-05 - 5.8301919208688336e-05j,
-            -9.079985986644169e-05 - 5.8301919208688336e-05j,
-            2.8561700674573376e-13 + 0.00010790610844240385j))),
+            11013.232920103324, 11013.232920103324,
+            5950.475117265045 + 9267.315912995366j, 1.0), "-0.00921772911890469")),
         ((5.0, 0.0, -1.2, 5.0, 0.0), 100.0, ("0.0085904355074124", 18, 32, (
-            -9.079985976869818e-05 + 3.5301130212050174e-05j,
-            -9.079985976869818e-05 + 3.5301130212050174e-05j,
-            1.5613304958607916e-13 - 9.742065617729906e-05j))),
+            11013.232920103324, 11013.232920103324,
+            3990.7303340062026 - 10264.763502082758j, 1.0), "0.008590435507412371")),
         ((1.2, 0.1, 0.3, 0.9, 0.0), 2.0, ("-0.13534214463364191", 16, 32, (
-            -0.3983226286865502 - 0.7386316171750993j,
-            -0.22274404398189418 - 0.4130465647030448j,
-            0.05249506745035539 + 0.6020641386535504j))),
+            5.556947166965507, 3.1074731763172667,
+            3.674030097209448 + 1.586361838026049j, 1.2530232272112907), "-0.13534214463364433")),
         ((1.5, -0.2, 0.5, 1.5, 0.2), 3.2, ("0.6716729685241167", 16, 32, (
-            -0.14861363491588464 - 0.9875309576614564j,
-            -0.14861363491588464 - 0.9875309576614564j,
-            0.049038881633336785 + 0.9925014662224081j))),
+            10.067661995777765, 10.067661995777765,
+            9.967827280007153 + 1.0001186815439258j, 1.0), "0.6716729685241165")),
     ]
 
     @pytest.mark.parametrize("args, ell, pinned", PINNED)
     def test_band_series_bit_identical(self, args, ell, pinned):
-        value, n_bands, n_terms, entries = pinned
-        xi = XiMatrix(*entries)
-        got, got_bands, got_terms, _ = band_series_value(xi, EvaluationSettings(ell=ell))
-        assert (repr(got), got_bands, got_terms) == (value, n_bands, n_terms)
+        value, n_bands, n_terms, entries, exact = pinned
         settings = EvaluationSettings(ell=ell)
-        band, got_bands, got_terms, _ = band_series_value(xi_matrix(_spec(*args)), settings)
+        got, got_bands, got_terms, _ = band_series_value(XiInverse(*entries), settings)
+        assert (repr(got), got_bands, got_terms) == (exact, n_bands, n_terms)
+        band, got_bands, got_terms, _ = band_series_value(xi_inverse(_spec(*args)), settings)
         assert abs(band - float(value)) <= 1e-13 * abs(float(value))
         assert (got_bands, got_terms) == (n_bands, n_terms)
         res = correlator_numeric(_spec(*args), settings)
@@ -354,11 +348,13 @@ class TestNumeric:
         assert abs(res.value - float(value)) <= 1e-13 * abs(float(value))
 
     def test_overflowing_series_raised(self):
-        # Convergent by all four conditions, but Re(xi12) > 0 makes the
-        # scaled erfc terms' exponent pass 709 within the first band.
-        xi = XiMatrix(xi11=-1.0 + 0j, xi22=-1.0 + 0j, xi12=10.0 + 20.0j)
-        with pytest.raises(ComplexOverflowError, match="overflows double precision"):
-            band_series_value(xi, EvaluationSettings(ell=10.0))
+        # Every form ``xi_inverse`` returns keeps each scaled erfc term
+        # bounded, but a bin this wide squares past double precision within
+        # the first band, and the overflow guard names that.
+        inv = xi_inverse(_spec(1.0, 0.3, 0.5, 0.7, -0.2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ComplexOverflowError, match="overflows double precision"):
+                band_series_value(inv, EvaluationSettings(ell=1e200))
 
     def test_metadata(self):
         # A bin wider than the state takes the band series.
@@ -373,6 +369,28 @@ class TestNumeric:
         assert (res.method, res.series, res.n_bands_used) == ("numeric", "dual", 0)
         assert res.series_terms_used >= 1
         assert 0.0 <= res.error_estimate <= 1e-16
+
+
+class TestMaximalCorrelationLocus:
+    """r_a = r_b, phi_b = -phi_a, dtheta = phi_b - phi_a: zeta^2 = 4.
+
+    There Xi^-1 is, field by field, the coincident phi = 0 form, and Xi's
+    entries grow like e^{2r} while its Schur complements shrink like
+    e^{-2r}. Formed from the entries, they cancelled: the band series gave
+    1.01097309569 at r = 9 and refused r >= 10 as non-convergent.
+    """
+
+    @pytest.mark.parametrize("r", [8.0, 9.0, 10.0, 12.0, 15.0])
+    def test_equal_time_value_at_bin_width_e_r(self, r):
+        spec = _spec(r, 0.3, -0.6, r, -0.3)
+        assert xi_inverse(spec) == xi_inverse(_coincident(r, 0.0))
+        ell = math.exp(r)
+        reference = correlator_equal_time(SqueezeParams(r, 0.0), ell).value
+        settings = EvaluationSettings(ell=ell)
+        for res in (correlator_auto(spec, settings), correlator_numeric(spec, settings)):
+            assert (res.method, res.series) == ("numeric", "band")
+            assert abs(res.value) <= 1.0
+            assert abs(res.value - reference) <= 1e-7
 
 
 class TestSmallEll:
@@ -505,12 +523,10 @@ class TestLargeSqueeze:
 
 
 def _route_before(spec, ell):
-    """``auto_method`` as first written, with e^r in floating point; it
-    overflows past r ~ 709.8."""
+    """``auto_method``'s rule with e^r in floating point; it overflows
+    past r ~ 709.8."""
     if is_coincident(spec):
         return "equal-time"
-    if ell < 0.01 * math.exp(min(spec.a.r, spec.b.r)):
-        return "small-ell"
     if ell > 100.0 * math.exp(max(spec.a.r, spec.b.r)):
         return "large-ell"
     return "numeric"
@@ -518,8 +534,9 @@ def _route_before(spec, ell):
 
 class TestAutoDispatch:
     def test_route_unchanged_where_the_scale_is_finite(self):
-        # Seeded draws across r in [0, 709], with bins around both
-        # thresholds and exactly on them, and a share of coincident pairs.
+        # Seeded draws across r in [0, 709], with bins around the wide-bin
+        # threshold and exactly on it, narrow bins around 0.01 e^r, and a
+        # share of coincident pairs.
         rng = np.random.default_rng(11)
         for _ in range(3000):
             top = (5.0, 20.0, 709.0)[rng.integers(3)]
@@ -537,7 +554,7 @@ class TestAutoDispatch:
 
     @pytest.mark.parametrize(
         "ra, rb, ell, route",
-        [(800.0, 800.0, 1.0, "small-ell"), (800.0, 1.0, 1.0, "numeric"), (1.0, 800.0, 1e300, "numeric")],
+        [(800.0, 800.0, 1.0, "numeric"), (800.0, 1.0, 1.0, "numeric"), (1.0, 800.0, 1e300, "numeric")],
     )
     def test_scale_past_double_range_routes_to_a_typed_refusal(self, ra, rb, ell, route):
         # e^r leaves double precision past r ~ 709.8. The route reads it as
@@ -552,12 +569,42 @@ class TestAutoDispatch:
     def test_regime_selection(self):
         spec = _spec(5.0, -0.2, 0.5, 5.0, 0.3)
         picks = {
-            0.5: "small-ell",
+            0.5: "numeric",
             100.0: "numeric",
             20000.0: "large-ell",
         }
         for ell, method in picks.items():
             assert correlator_auto(spec, EvaluationSettings(ell=ell)).method == method
+
+    def test_narrow_bins_match_small_ell_where_its_bound_is_tight(self):
+        # Wherever the bound on the terms ``small-ell`` omits is at most
+        # 1e-16, ``auto``, which takes ``numeric`` there, returns the same
+        # value within 2e-16.
+        rng = np.random.default_rng(17)
+        checked = 0
+        while checked < 300:
+            ra, rb = rng.uniform(0.0, 20.0, size=2)
+            pa, pb, dth = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=3)
+            ell = math.exp(min(ra, rb)) * 10.0 ** rng.uniform(-4.0, -2.0)
+            spec = _spec(ra, pa, dth, rb, pb)
+            small = correlator_small_ell(spec, ell)
+            if small.error_estimate > 1e-16:
+                continue
+            res = correlator_auto(spec, EvaluationSettings(ell=ell))
+            assert (res.method, res.series) == ("numeric", "dual")
+            assert abs(res.value - small.value) <= 2e-16
+            checked += 1
+
+    def test_narrow_bin_next_to_the_locus(self):
+        # Next to the maximal-correlation locus the one-term asymptote is
+        # 3e-3 off (0.555684953239, bound 0.19); ``auto`` sums the dual
+        # series. The direct cell quadrature (``oracle``, 17 s) gives
+        # 0.5586998003321, and 0.5586998003341 with its normalization
+        # formed from Xi's entries, as it once was.
+        spec = _spec(3.0, 0.3, -0.6, 3.0, -0.3)
+        res = correlator_auto(spec, EvaluationSettings(ell=0.18))
+        assert (res.method, res.series) == ("numeric", "dual")
+        assert abs(res.value - 0.5586998003341) <= 1e-11
 
     def test_coincident_routes_to_equal_time(self):
         spec = _spec(1.1, 0.4, 0.0, 1.1, 0.4)
@@ -613,7 +660,7 @@ def _dual_draws(seed: int, count: int):
         if _dual_order(_dual_decay(inv, ell), 2000) is None:
             continue
         try:
-            band = band_series_value(xi_matrix(spec), EvaluationSettings(ell=ell))[0]
+            band = band_series_value(xi_inverse(spec), EvaluationSettings(ell=ell))[0]
         except MaxBandsExceededError:
             continue
         draws.append((spec, inv, ell, band))

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from kernel_blocks import kernel_determinant
+from kernel_blocks import kernel_determinant, xi_determinant
 from reference_forms import quadrant_gaussian
 import squeezebell.oracle as oracle_mod
 from squeezebell.complexfn import principal_sqrt
@@ -22,7 +22,7 @@ from squeezebell.evaluators import (
     correlator_small_ell,
     wide_bin_value,
 )
-from squeezebell.kernel import xi_determinant, xi_inverse, xi_matrix
+from squeezebell.kernel import xi_inverse, xi_matrix
 from squeezebell.oracle import build_M, correlator_quadrature, theta_partial
 from squeezebell.state import SqueezeParams, TransitionSpec
 
@@ -193,7 +193,7 @@ class TestThetaResummation:
         spec = _spec(1.2, 0.02, 0.0, 1.2, -0.02)
         resummed = _theta_resummed(spec, 0.5)
         settings = EvaluationSettings(ell=0.5)
-        band = band_series_value(xi_matrix(spec), settings)[0]
+        band = band_series_value(xi_inverse(spec), settings)[0]
         numeric = correlator_numeric(spec, settings).value
         assert abs(band) > 0.01
         assert abs(resummed - band) <= 1e-6
