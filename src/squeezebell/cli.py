@@ -16,11 +16,14 @@ command-line flags override file values. ``--dump-config PATH`` writes the
 fully resolved configuration before running, and re-running from that file
 alone reproduces the output byte for byte. Angles are radians unless
 ``--deg`` is given.
+
+The argument parser is built once per process and reused by every ``run``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -97,6 +100,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("state parameters")

@@ -108,6 +108,10 @@ _PAIRS_PER_BAND = 5000.0
 # The dual sum runs over blocks of at most this many (k, l) terms, so its
 # memory stays small at any truncation.
 _DUAL_BLOCK = 1 << 15
+# The equal-time u-sum runs over blocks of at most this many breakpoints
+# (v nodes x lattice lines), so each of its temporaries stays at 0.5 MB
+# when a row crosses thousands of lines.
+_CELL_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -535,7 +539,9 @@ def _equal_time_cells(params: SqueezeParams, ell: float) -> tuple[float, float, 
     checkerboard sign (-1)^{floor(q1/ell)+floor(q2/ell)} is piecewise
     constant in u at fixed v, so the u-integral is an exact erf segment sum
     over the lattice-line crossings; only the v-direction is integrated
-    numerically, across the narrower axis. The reflection q2 -> -q2 swaps
+    numerically, across the narrower axis. The u-sum runs over all the v
+    nodes of one quadrature pass at once, one row per node, in blocks of at
+    most _CELL_BLOCK breakpoints. The reflection q2 -> -q2 swaps
     u and v and flips the checkerboard sign, so where u is the narrower
     axis the same sum runs on the swapped rates and is negated. This stays
     exact for arbitrarily squeezed states, where the density ridge is a
@@ -557,26 +563,39 @@ def _equal_time_cells(params: SqueezeParams, ell: float) -> tuple[float, float, 
             f"equal-time segment count {n_lines} exceeds budget "
             "(bin width far below the anti-squeezed state width)"
         )
+    # For 0 <= v < v_max the crossings u = c (m + q) - v and u = c m + v,
+    # q = floor(2v/c), interleave in increasing order, and every crossing
+    # of (-u_max, u_max) has m in this range.
+    m = np.arange(math.floor((-u_max - v_max) / c), math.ceil(u_max / c) + 2, dtype=float)
+    cm = c * m
+    width = 2 * len(m) + 2
+    # The sign (-1)^{floor((u+v)/c) + floor((u-v)/c)} is (-1)^q on the
+    # segment below the first crossing and flips at each crossing.
+    flips = np.where(np.arange(width - 1) % 2 == 0, 1.0, -1.0)
+    rows = max(1, _CELL_BLOCK // width)
 
-    def signed_mass(v: float) -> float:
-        # Twice the signed mass of the normalized u-density at this v.
-        # Breakpoints where (u+v)/sqrt(2) or (u-v)/sqrt(2) crosses n ell.
-        k0 = math.floor((-u_max - abs(v)) / c)
-        k1 = math.ceil((u_max + abs(v)) / c)
-        lines = c * np.arange(k0, k1 + 1)
-        bp = np.concatenate([lines - v, lines + v])
-        bp = np.sort(bp[(bp > -u_max) & (bp < u_max)])
-        edges = np.concatenate([[-u_max], bp, [u_max]])
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        par = np.floor((mids + v) / c) + np.floor((mids - v) / c)
-        sgn = np.where(np.mod(par, 2.0) == 0.0, 1.0, -1.0)
-        er = _sp.erf(su * edges)
-        return float(np.sum(sgn * (er[1:] - er[:-1])))
+    def signed_mass(v: np.ndarray) -> np.ndarray:
+        # Twice the signed mass of the normalized u-density at each v; a
+        # crossing clipped to -/+u_max adds a zero-length segment.
+        out = np.empty(len(v))
+        for start in range(0, len(v), rows):
+            vb = v[start : start + rows, None]
+            q = np.floor(2.0 * vb / c)
+            edges = np.empty((len(vb), width))
+            edges[:, 0] = -u_max
+            edges[:, 1:-1:2] = c * (m + q) - vb
+            edges[:, 2:-1:2] = cm + vb
+            edges[:, -1] = u_max
+            np.clip(edges, -u_max, u_max, out=edges)
+            er = _sp.erf(su * edges)
+            parity = np.where(q[:, 0] % 2.0 == 0.0, 1.0, -1.0)
+            out[start : start + rows] = parity * np.sum((er[:, 1:] - er[:, :-1]) * flips, axis=1)
+        return out
 
     def integrand(v: np.ndarray) -> np.ndarray:
         # Even in v, so v >= 0 carries half of the normalized v-density.
         density = (sv / math.sqrt(math.pi)) * np.exp(-lam_v * v * v)
-        return density * np.array([signed_mass(float(t)) for t in v])
+        return density * signed_mass(v)
 
     # Kinks where breakpoint families collide: v a multiple of c/2.
     kinks = np.arange(0.0, v_max, 0.5 * c)[1:]

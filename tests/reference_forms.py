@@ -8,16 +8,22 @@
 - The quadrant Gaussian integral, whose signed composition is the
   wide-bin closed form ``evaluators.wide_bin_value``.
 - That closed form again, in extended precision (``wide_bin_reference``).
+- The equal-time cell sum with its u-sum made one v node at a time
+  (``equal_time_cells_reference``), as it was before
+  ``evaluators._equal_time_cells`` batched it over the v nodes.
 """
 
 import cmath
 import math
 
 import numpy as np
+import scipy.special as sp
 
 from squeezebell.complexfn import principal_arctan, principal_sqrt
 from squeezebell.errors import SqueezeBellError
-from squeezebell.state import SqueezeParams
+from squeezebell.kernel import xi_inverse
+from squeezebell.quadrature import adaptive_1d
+from squeezebell.state import SqueezeParams, TransitionSpec
 
 _QUADRANTS = ("PP", "MP", "PM", "MM")
 
@@ -190,3 +196,41 @@ def wide_bin_reference(ra: float, rb: float, sigma: float, psi: float, dps: int)
         gap = 1 + (s * sh_sum) ** 2 + (c * sh_diff) ** 2
         det = mp.mpc(gap + 2 * p.imag**2, -2 * p.real * p.imag)
         return float(2 / mp.pi * mp.re(mp.atan(p / mp.sqrt(det))))
+
+
+def equal_time_cells_reference(params: SqueezeParams, ell: float) -> tuple[float, float]:
+    """(value, error estimate) of ``evaluators._equal_time_cells``, one v at a time.
+
+    The same rates, truncation, kinks and quadrature; at each v node the
+    breakpoints are sorted and each segment's sign is read from the parity
+    of its midpoint.
+    """
+    inv = xi_inverse(TransitionSpec(a=params, b=params))
+    wide = inv.ch_a + abs(inv.p.real)
+    lam_u, lam_v = 1.0 / wide, wide / inv.gap
+    sign = -1.0 if inv.p.real < 0.0 else 1.0
+    c = math.sqrt(2.0) * ell
+    su, sv = math.sqrt(lam_u), math.sqrt(lam_v)
+    u_max = 13.0 / su
+    v_max = 13.0 / sv
+
+    def signed_mass(v: float) -> float:
+        k0 = math.floor((-u_max - abs(v)) / c)
+        k1 = math.ceil((u_max + abs(v)) / c)
+        lines = c * np.arange(k0, k1 + 1)
+        bp = np.concatenate([lines - v, lines + v])
+        bp = np.sort(bp[(bp > -u_max) & (bp < u_max)])
+        edges = np.concatenate([[-u_max], bp, [u_max]])
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        par = np.floor((mids + v) / c) + np.floor((mids - v) / c)
+        sgn = np.where(np.mod(par, 2.0) == 0.0, 1.0, -1.0)
+        er = sp.erf(su * edges)
+        return float(np.sum(sgn * (er[1:] - er[:-1])))
+
+    def integrand(v: np.ndarray) -> np.ndarray:
+        density = (sv / math.sqrt(math.pi)) * np.exp(-lam_v * v * v)
+        return density * np.array([signed_mass(float(t)) for t in v])
+
+    kinks = np.arange(0.0, v_max, 0.5 * c)[1:]
+    total, err = adaptive_1d(integrand, 0.0, v_max, rel_tol=1e-11, breakpoints=list(kinks))
+    return float(sign * total.real), err

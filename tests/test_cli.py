@@ -338,6 +338,46 @@ class TestBellCommand:
         assert "bell" in doc
 
 
+class TestReusedParser:
+    """One process reuses one parser: each call prints what it prints alone."""
+
+    @staticmethod
+    def _alone(argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "squeezebell.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_calls_in_a_row_match_fresh_interpreters(self, capsys, tmp_path):
+        target = tmp_path / "value.txt"
+        sequence = [
+            ["correlator", *REGRESSION_FLAGS, "--format", "json"],
+            ["correlator", *REGRESSION_FLAGS],
+            ["correlator", "--ra", "1", "--ell", "1", "--format", "xml"],
+            ["correlator", "--ra", "1", "--ell", "1"],
+            ["correlator", "--ra", "1", "--rb", "0.8", "--dtheta", "45", "--ell", "1", "--deg"],
+            ["correlator", "--ra", "1", "--rb", "0.8", "--dtheta", "45", "--ell", "1"],
+            ["correlator", *REGRESSION_FLAGS, "--out", str(target)],
+            ["correlator", *REGRESSION_FLAGS],
+        ]
+        in_process = []
+        for argv in sequence:
+            code = run(argv)
+            captured = capsys.readouterr()
+            written = target.read_text() if target.exists() else None
+            target.unlink(missing_ok=True)
+            in_process.append((code, captured.out, captured.err, written))
+        assert [c[0] for c in in_process] == [0, 0, 1, 0, 0, 0, 0, 0]
+        for argv, got in zip(sequence, in_process):
+            alone = self._alone(argv)
+            written = target.read_text() if target.exists() else None
+            target.unlink(missing_ok=True)
+            assert got == (*alone, written), argv
+
+
 class TestInstalledEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -11,8 +11,15 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate, special
 
 from kernel_blocks import DETERMINANT_ROOTS
-from reference_forms import coeff_A, coeff_B, fock_amplitude, normalization, wide_bin_reference
-from squeezebell import cli
+from reference_forms import (
+    coeff_A,
+    coeff_B,
+    equal_time_cells_reference,
+    fock_amplitude,
+    normalization,
+    wide_bin_reference,
+)
+from squeezebell import cli, evaluators
 from squeezebell.bell import evaluate
 from squeezebell.errors import ComplexOverflowError, MaxBandsExceededError
 from squeezebell.evaluators import (
@@ -29,6 +36,7 @@ from squeezebell.evaluators import (
     wide_bin_value,
     _dual_decay,
     _dual_order,
+    _equal_time_cells,
     _parity_fold,
     auto_method,
 )
@@ -122,6 +130,49 @@ class TestEqualTime:
     def test_invalid_ell_rejected(self, bad):
         with pytest.raises(ValueError):
             correlator_equal_time(SqueezeParams(1.0), bad)
+
+
+class TestEqualTimeBatchedSum:
+    """The u-sum over all v nodes at once, against the one-v-at-a-time form."""
+
+    def test_matches_the_per_node_reference(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            r = rng.uniform(0.3, 12.0)
+            phi = rng.uniform(-math.pi, math.pi)
+            ell = math.exp(r) * math.exp(rng.uniform(math.log(0.3), math.log(30.0)))
+            params = SqueezeParams(r, phi)
+            value = _equal_time_cells(params, ell)[0]
+            reference = equal_time_cells_reference(params, ell)[0]
+            assert abs(value - reference) <= 1e-15, (r, phi, ell)
+
+    def test_block_split(self, monkeypatch):
+        # At ell = 0.3 e^r a row holds 142 breakpoints, so one block
+        # holds fewer rows than one refinement pass of adaptive_1d sends.
+        params, ell = SqueezeParams(11.5, 2.2), 0.3 * math.exp(11.5)
+        sent, blocks = [], []
+        real_adaptive, real_erf = evaluators.adaptive_1d, special.erf
+
+        def adaptive(f, *args, **kwargs):
+            def spy(v):
+                sent.append(len(v))
+                return f(v)
+
+            return real_adaptive(spy, *args, **kwargs)
+
+        def erf(x):
+            blocks.append(x.shape[0])
+            return real_erf(x)
+
+        monkeypatch.setattr(evaluators, "adaptive_1d", adaptive)
+        monkeypatch.setattr(evaluators._sp, "erf", erf)
+        value = _equal_time_cells(params, ell)[0]
+        monkeypatch.undo()
+        assert max(blocks) < max(sent)
+        assert abs(value - equal_time_cells_reference(params, ell)[0]) <= 1e-15
+        # One row per block gives the same value bit for bit.
+        monkeypatch.setattr(evaluators, "_CELL_BLOCK", 1)
+        assert _equal_time_cells(params, ell)[0] == value
 
 
 def _conditional_normal_equal_time(r: float, phi: float, ell: float) -> float:

@@ -136,6 +136,19 @@ class TestAdaptiveCells2D:
         exact = ((np.exp(1j) - 1.0) / 1j) ** 2
         assert abs(val - exact) < 1e-12
 
+    def test_batch_size_changes_only_the_summation_order(self):
+        # 100 cells, refined to 217: the same cells are accepted whether
+        # they run in one batch or in batches of 7.
+        edges = np.linspace(-3.0, 3.0, 11)
+        x0, y0 = np.meshgrid(edges[:-1], edges[:-1], indexing="ij")
+        cells = np.stack([x0.ravel(), x0.ravel() + 0.6, y0.ravel(), y0.ravel() + 0.6], axis=1)
+        f = lambda x, y: np.exp(-8.0 * (x - 0.1) ** 2 - 6.0 * x * y - 8.0 * y * y)
+        one = adaptive_cells_2d(f, cells, tol_abs=1e-15, tol_rel=1e-13, batch=len(cells))
+        many = adaptive_cells_2d(f, cells, tol_abs=1e-15, tol_rel=1e-13, batch=7)
+        assert many[2] == one[2] == 217
+        assert many[0] == pytest.approx(one[0], rel=1e-14)
+        assert many[1] == pytest.approx(one[1], rel=1e-5)
+
     def test_bad_cells_shape_rejected(self):
         with pytest.raises(ValueError):
             adaptive_cells_2d(lambda x, y: x + y, np.zeros((3, 3)))
